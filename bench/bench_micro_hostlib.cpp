@@ -500,7 +500,8 @@ BENCHMARK(BM_EndToEndPipelineDump)
 
 /**
  * Raw broadcast-ring fan-out: one producer publishing pre-encoded
- * StreamSlots, 8 reader threads draining through their own cursors —
+ * StreamSlots, 8 reader threads draining through their own cursors
+ * and decoding every record out of its slot (net::readSlot) —
  * the transport layer below ps3d, no sockets, no handshake. The
  * ceiling the server-level fan-out benches chase. Batches stay under
  * the ring capacity with a drain barrier per iteration, so delivery
@@ -539,9 +540,8 @@ BM_ShmFanout(benchmark::State &state)
                 }
                 std::uint64_t delivered = 0;
                 for (std::size_t r = 0; r < claim.count; ++r)
-                    if (ring->readPrefix(claim.first + r, &record,
-                                         sizeof record)
-                        == transport::BroadcastRead::Ok)
+                    if (net::readSlot(*ring, claim.first + r, record)
+                        == net::SlotRead::Ok)
                         ++delivered;
                 benchmark::DoNotOptimize(record);
                 consumed[i].fetch_add(delivered,
@@ -550,17 +550,17 @@ BM_ShmFanout(benchmark::State &state)
         });
     }
 
+    host::DumpRecord record;
+    record.presentMask = 0x01;
+    record.voltage[0] = 12.0;
+    record.current[0] = 8.0;
     net::StreamSlot slot{};
-    slot.record.presentMask = 0x01;
-    slot.record.voltage[0] = 12.0;
-    slot.record.current[0] = 8.0;
-    slot.encodedLen = net::encodeRecordTo(slot.encoded, slot.record);
+    slot.encodedLen = net::encodeRecordTo(slot.encoded, record);
 
     std::uint64_t published = 0;
     for (auto _ : state) {
         for (std::uint64_t i = 0; i < kBatch; ++i) {
-            slot.record.time =
-                50e-6 * static_cast<double>(published++);
+            ++published;
             ring->publish(slot);
         }
         for (std::size_t i = 0; i < kReaders; ++i)

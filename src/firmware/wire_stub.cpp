@@ -21,6 +21,16 @@ WireStub::send(const std::uint8_t *data, std::size_t size)
     pipe_.deviceWrite(data, size);
 }
 
+bool
+WireStub::stream(const std::uint8_t *data, std::size_t size)
+{
+    std::lock_guard<std::mutex> lock(txMutex_);
+    if (!streaming_.load(std::memory_order_acquire))
+        return false;
+    pipe_.deviceWrite(data, size);
+    return true;
+}
+
 void
 WireStub::handleHostBytes(const std::uint8_t *data, std::size_t size)
 {
@@ -43,9 +53,11 @@ WireStub::handleCommand(std::uint8_t byte)
       case Command::StartStream:
         streaming_.store(true, std::memory_order_release);
         return;
-      case Command::StopStream:
+      case Command::StopStream: {
+        std::lock_guard<std::mutex> lock(txMutex_); // see stream()
         streaming_.store(false, std::memory_order_release);
         return;
+      }
       case Command::Marker:
         awaitMarkerChar_ = true;
         return;

@@ -66,6 +66,18 @@ class WireStub
      */
     void send(const std::uint8_t *data, std::size_t size);
 
+    /**
+     * Device->host stream bytes, sent only while the host has the
+     * stream started, as the firmware streams. StopStream takes the
+     * same lock, so no chunk lands after the host's StopStream write
+     * returned, and the host's drain sees the stream end. The
+     * caller must leave the chunk room in the pipe: a StopStream
+     * arriving while this waits for room would wait for a host that
+     * reads nothing until its StopStream returns.
+     * @return False (nothing sent) while the stream is stopped.
+     */
+    bool stream(const std::uint8_t *data, std::size_t size);
+
   private:
     transport::PipeDevice &pipe_;
     DeviceConfig config_;

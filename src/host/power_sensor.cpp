@@ -21,6 +21,9 @@ constexpr double kReadTimeout = 0.05;
 /** Control-exchange timeout (generous for real hardware). */
 constexpr double kControlTimeout = 1.0;
 
+/** Silence that ends drainStream(): the stream has stopped. */
+constexpr double kDrainQuiet = 0.02;
+
 std::vector<std::uint8_t>
 commandByte(Command c)
 {
@@ -119,6 +122,47 @@ PowerSensor::sendBytes(const std::vector<std::uint8_t> &bytes)
     device_->write(bytes);
 }
 
+std::unique_lock<std::mutex>
+PowerSensor::lockControl()
+{
+    std::unique_lock<std::mutex> lock(controlMutex_, std::try_to_lock);
+    if (lock.owns_lock())
+        return lock;
+    controlPending_.fetch_add(1, std::memory_order_acq_rel);
+    device_->interruptReads();
+    lock.lock();
+    controlPending_.fetch_sub(1, std::memory_order_acq_rel);
+    return lock;
+}
+
+void
+PowerSensor::drainStream()
+{
+    // A read cut short by the interrupt lockControl() raised for the
+    // reader returns 0 early; only a whole quiet window ends the
+    // drain.
+    std::uint8_t scratch[4096];
+    auto quiet_since = std::chrono::steady_clock::now();
+    for (;;) {
+        const double left =
+            kDrainQuiet
+            - std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - quiet_since)
+                  .count();
+        if (left <= 0.0)
+            break;
+        const std::size_t got =
+            device_->read(scratch, sizeof(scratch), left);
+        if (got > 0) {
+            parser_.feed(scratch, got);
+            quiet_since = std::chrono::steady_clock::now();
+        } else if (device_->closed()) {
+            break;
+        }
+    }
+    parser_.flush();
+}
+
 std::vector<std::uint8_t>
 PowerSensor::readControl(std::size_t n, double timeout_seconds)
 {
@@ -209,6 +253,11 @@ PowerSensor::readerLoop()
 {
     std::uint8_t buffer[16384];
     while (!stopRequested_.load(std::memory_order_acquire)) {
+        // A control operation wants the mutex: stand back until it
+        // has it, then queue behind it.
+        while (controlPending_.load(std::memory_order_acquire) != 0
+               && !stopRequested_.load(std::memory_order_acquire))
+            std::this_thread::yield();
         std::size_t got = 0;
         {
             std::lock_guard<std::mutex> lock(controlMutex_);
@@ -226,8 +275,7 @@ PowerSensor::readerLoop()
                 stateCv_.notify_all();
                 return;
             }
-            // Timed out: yield briefly so control operations can
-            // grab the mutex.
+            // Timed out or interrupted: let others run first.
             std::this_thread::yield();
         }
     }
@@ -429,15 +477,11 @@ PowerSensor::config() const
 void
 PowerSensor::writeConfig(const firmware::DeviceConfig &config)
 {
-    std::lock_guard<std::mutex> lock(controlMutex_);
+    const auto lock = lockControl();
     sendBytes(commandByte(Command::StopStream));
     // Drain residual stream bytes through the parser so no energy is
     // silently lost.
-    std::uint8_t scratch[4096];
-    std::size_t got;
-    while ((got = device_->read(scratch, sizeof(scratch), 0.02)) != 0)
-        parser_.feed(scratch, got);
-    parser_.flush();
+    drainStream();
 
     std::vector<std::uint8_t> message =
         commandByte(Command::WriteConfig);
@@ -457,13 +501,9 @@ PowerSensor::writeConfig(const firmware::DeviceConfig &config)
 std::string
 PowerSensor::firmwareVersion()
 {
-    std::lock_guard<std::mutex> lock(controlMutex_);
+    const auto lock = lockControl();
     sendBytes(commandByte(Command::StopStream));
-    std::uint8_t scratch[4096];
-    std::size_t got;
-    while ((got = device_->read(scratch, sizeof(scratch), 0.02)) != 0)
-        parser_.feed(scratch, got);
-    parser_.flush();
+    drainStream();
 
     sendBytes(commandByte(Command::Version));
     const auto status = readControl(1, kControlTimeout);

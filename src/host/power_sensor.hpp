@@ -210,6 +210,8 @@ class PowerSensor : public Sensor
 
     /** Control-channel coordination: pause the reader for commands. */
     std::mutex controlMutex_;
+    /** Control operations waiting for controlMutex_ (lockControl). */
+    std::atomic<unsigned> controlPending_{0};
 
     bool haveLastSampleTime_ = false;
     double lastSampleTime_ = 0.0;
@@ -223,6 +225,22 @@ class PowerSensor : public Sensor
     void onFrameSet(const FrameSet &set);
     std::string dumpHeaderText() const;
     void pushDumpRecord(const Sample &sample, DumpWriter &writer);
+
+    /**
+     * Take controlMutex_ for a control operation. The reader holds
+     * the mutex across its blocking read and takes it again straight
+     * after, so a plain lock could starve; this one announces itself
+     * (the reader stands back while controlPending_ is non-zero) and
+     * cuts the reader's read short with interruptReads().
+     */
+    std::unique_lock<std::mutex> lockControl();
+
+    /**
+     * Feed the stream's residual bytes to the parser until the link
+     * stays quiet for a whole drain window, then flush the parser
+     * (streaming must be stopped).
+     */
+    void drainStream();
 
     /** Read exactly n control bytes (streaming must be paused). */
     std::vector<std::uint8_t> readControl(std::size_t n,

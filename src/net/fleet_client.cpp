@@ -1,6 +1,9 @@
 #include "net/fleet_client.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstring>
 
 #include "common/errors.hpp"
 
@@ -11,6 +14,9 @@ namespace {
 /** Sanity bound on a v2 frame payload (header + seq + batch). */
 constexpr std::size_t kMaxFramePayload =
     kV2FrameHeaderSize + kBatchSeqHeaderSize + kMaxBatchBytes;
+
+/** Free buffer space every socket read gets at least. */
+constexpr std::size_t kReadChunk = 16384;
 
 std::uint16_t
 getU16(const std::uint8_t *p)
@@ -194,31 +200,42 @@ FleetClient::poll(Event &event, double timeout_seconds)
                 .count();
         if (left <= 0.0)
             return false;
-        std::uint8_t chunk[16384];
+        if (inHead_ > 0) {
+            std::memmove(inBuf_.data(), inBuf_.data() + inHead_,
+                         inTail_ - inHead_);
+            inTail_ -= inHead_;
+            inHead_ = 0;
+        }
+        if (inBuf_.size() - inTail_ < kReadChunk)
+            inBuf_.resize(
+                std::max(2 * inBuf_.size(), inTail_ + kReadChunk));
         const std::size_t n =
-            socket_->read(chunk, sizeof chunk, left);
+            socket_->read(inBuf_.data() + inTail_,
+                          inBuf_.size() - inTail_, left);
         if (n == 0) {
             if (socket_->closed())
                 closed_ = true;
             continue;
         }
-        inBuf_.insert(inBuf_.end(), chunk, chunk + n);
+        inTail_ += n;
     }
 }
 
 bool
 FleetClient::parseFrame(Event &event)
 {
-    if (inBuf_.size() < 4)
+    const std::size_t available = inTail_ - inHead_;
+    if (available < 4)
         return false;
-    const std::uint32_t len = getU32(inBuf_.data());
+    const std::uint8_t *frame = inBuf_.data() + inHead_;
+    const std::uint32_t len = getU32(frame);
     if (len < kV2FrameHeaderSize || len > kMaxFramePayload)
         throw DeviceError("fleet stream: implausible frame length "
                           + std::to_string(len));
-    if (inBuf_.size() < 4 + static_cast<std::size_t>(len))
+    if (available < 4 + static_cast<std::size_t>(len))
         return false;
 
-    const std::uint8_t *payload = inBuf_.data() + 4;
+    const std::uint8_t *payload = frame + 4;
     const std::uint16_t stream_id = getU16(payload);
     const std::uint8_t type = payload[2];
     const std::uint8_t *body = payload + kV2FrameHeaderSize;
@@ -233,10 +250,25 @@ FleetClient::parseFrame(Event &event)
                 "header");
         event.firstSeq = readU64(body);
         StreamState &st = state(stream_id);
+        const std::uint8_t *batch = body + kBatchSeqHeaderSize;
+        const std::size_t batch_len = body_len - kBatchSeqHeaderSize;
+        // One allocation per frame: a stream's records share one
+        // size, so the batch length over the first record's size
+        // is the count.
+        const std::size_t mask_at =
+            batch_len > 0 && batch[0] == 'M' ? kMarkerPrefixBytes + 1
+                                             : 1;
+        if (batch_len > 0 && batch[0] == 'A')
+            event.buckets.reserve(batch_len / kBucketRecordFixedSize);
+        else if (batch_len > mask_at)
+            event.records.reserve(
+                batch_len
+                / (kMinEncodedRecordBytes
+                   + 16 * static_cast<std::size_t>(
+                       std::popcount(batch[mask_at]))));
         DecodeSink sink{&event, 0};
-        st.decoder.feed(body + kBatchSeqHeaderSize,
-                        body_len - kBatchSeqHeaderSize, &sink,
-                        &onRecord, &onBucket);
+        st.decoder.feed(batch, batch_len, &sink, &onRecord,
+                        &onBucket);
         if (st.sampleRateHz > 0.0) {
             for (auto &entry : event.buckets)
                 entry.second.energyJoules =
@@ -296,8 +328,7 @@ FleetClient::parseFrame(Event &event)
                           + std::to_string(type));
     }
 
-    inBuf_.erase(inBuf_.begin(),
-                 inBuf_.begin() + 4 + static_cast<std::size_t>(len));
+    inHead_ += 4 + static_cast<std::size_t>(len);
     return true;
 }
 

@@ -136,7 +136,14 @@ class FleetClient
     StreamState &state(std::uint16_t stream_id);
 
     std::unique_ptr<transport::SocketDevice> socket_;
+    /**
+     * Received bytes: frames parse in place from inHead_, reads
+     * land at inTail_, and the unparsed rest moves to the front
+     * once per read.
+     */
     std::vector<std::uint8_t> inBuf_;
+    std::size_t inHead_ = 0;
+    std::size_t inTail_ = 0;
     std::unordered_map<std::uint16_t, StreamState> streams_;
     std::uint16_t sensorCount_ = 0;
     std::uint64_t gapTotal_ = 0;

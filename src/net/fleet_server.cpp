@@ -874,8 +874,8 @@ FleetServer::pumpRawClaim(Connection &connection, Stream &stream,
     auto &out = connection.out;
     bool frame_open = false;
     std::size_t frame_offset = 0;
+    std::size_t frame_records = 0;
     std::uint64_t frames = 0;
-    std::uint64_t scratch[(kMaxEncodedRecordBytes + 7) / 8];
 
     auto closeFrame = [&] {
         if (!frame_open)
@@ -884,42 +884,49 @@ FleetServer::pumpRawClaim(Connection &connection, Stream &stream,
         frame_open = false;
         ++frames;
     };
+    // Lost between claim and copy, or a length word out of range:
+    // count it, break the frame so firstSeq stays exact.
+    auto dropRecord = [&] {
+        stream.cursor.countDropped(1);
+        if (frame_open && frame_records == 0) {
+            out.resize(frame_offset); // nothing went into it
+            frame_open = false;
+        }
+        closeFrame();
+    };
 
     for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t seq = first + i;
         const std::uint64_t len = ring.wordAt(seq, kSlotLenWord);
-        if (len < 2 || len > kMaxEncodedRecordBytes
-            || !ring.stillValid(seq))
-        {
-            // Overwritten between claim and copy: count it, break
-            // the frame so firstSeq stays exact.
-            stream.cursor.countDropped(1);
-            closeFrame();
-            continue;
-        }
-        // Copy-then-validate through atomic word loads: unlike the
-        // thread-per-subscriber server there is no zero-copy gather
-        // here — bytes land in the out buffer anyway, so the copy is
-        // free and a record overwritten mid-copy is dropped, never
-        // torn onto the wire.
-        const std::size_t words =
-            (static_cast<std::size_t>(len) + 7) / 8;
-        for (std::size_t w = 0; w < words; ++w)
-            scratch[w] =
-                ring.wordAt(seq, kSlotEncodedOffset / 8 + w);
-        if (!ring.stillValid(seq)) {
-            stream.cursor.countDropped(1);
-            closeFrame();
+        if (len < kMinEncodedRecordBytes || len > kMaxEncodedRecordBytes) {
+            dropRecord();
             continue;
         }
         if (!frame_open) {
             frame_offset = beginStreamFrame(connection, stream, seq);
             frame_open = true;
+            frame_records = 0;
         }
-        const auto *bytes =
-            reinterpret_cast<const std::uint8_t *>(scratch);
-        out.insert(out.end(), bytes,
-                   bytes + static_cast<std::size_t>(len));
+        // Copy the slot words straight into the out buffer, then
+        // validate the slot once: a record overwritten mid-copy is
+        // cut back out, never torn onto the wire.
+        const std::size_t at = out.size();
+        const std::size_t words =
+            (static_cast<std::size_t>(len) + 7) / 8;
+        out.resize(at + words * 8);
+        std::uint8_t *dst = out.data() + at;
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t word =
+                ring.wordAt(seq, kSlotEncodedOffset / 8 + w);
+            std::memcpy(dst + w * 8, &word, 8);
+        }
+        if (!ring.stillValid(seq)) {
+            out.resize(at);
+            dropRecord();
+            continue;
+        }
+        out.resize(at + static_cast<std::size_t>(len));
+        ++frame_records;
         if (stream.credit != kNoCreditLimit)
             --stream.credit;
     }
@@ -940,12 +947,15 @@ FleetServer::pumpTierClaim(Connection &connection, Stream &stream,
 
     bool aggregate_open = false;
     std::size_t frame_offset = 0;
+    // Metrics add once per pump, not per frame or bucket.
+    std::uint64_t frames = 0;
+    std::uint64_t buckets = 0;
     auto shipAggregate = [&] {
         if (!aggregate_open)
             return;
         closeStreamFrame(connection, frame_offset);
         aggregate_open = false;
-        fleetMetrics().batches.inc();
+        ++frames;
     };
     auto appendBucket = [&](const host::HistoryBucket &bucket,
                             std::uint64_t first_seq) {
@@ -955,7 +965,7 @@ FleetServer::pumpTierClaim(Connection &connection, Stream &stream,
             aggregate_open = true;
         }
         encodeBucket(out, stream.tier, bucket);
-        fleetMetrics().tierBuckets.inc();
+        ++buckets;
         if (stream.credit != kNoCreditLimit && stream.credit > 0)
             --stream.credit;
     };
@@ -965,12 +975,12 @@ FleetServer::pumpTierClaim(Connection &connection, Stream &stream,
             appendBucket(closed, stream.openFirstSeq);
     };
 
+    host::DumpRecord record;
     for (std::size_t i = 0; i < count; ++i) {
         const std::uint64_t seq = first + i;
-        host::DumpRecord record;
-        if (ring.readPrefix(seq, &record, sizeof record)
-            != transport::BroadcastRead::Ok)
-        {
+        if (readSlot(ring, seq, record) != SlotRead::Ok) {
+            // Overwritten between claim and copy, or undecodable:
+            // dropped and counted, never folded.
             stream.cursor.countDropped(1);
             continue;
         }
@@ -987,7 +997,7 @@ FleetServer::pumpTierClaim(Connection &connection, Stream &stream,
                 beginStreamFrame(connection, stream, seq);
             encodeRecord(out, record);
             closeStreamFrame(connection, marker_offset);
-            fleetMetrics().batches.inc();
+            ++frames;
             if (stream.credit != kNoCreditLimit
                 && stream.credit > 0)
                 --stream.credit;
@@ -1018,6 +1028,10 @@ FleetServer::pumpTierClaim(Connection &connection, Stream &stream,
     }
     shipAggregate();
     stream.lastActivity = std::chrono::steady_clock::now();
+    if (frames > 0)
+        fleetMetrics().batches.inc(frames);
+    if (buckets > 0)
+        fleetMetrics().tierBuckets.inc(buckets);
 }
 
 void

@@ -49,10 +49,11 @@ void
 SensorRegistry::Entry::publish(const host::DumpRecord &record)
 {
     StreamSlot slot;
-    slot.record = record;
     slot.encodedLen = encodeRecordTo(slot.encoded, record);
     ring->publishPrefix(slot, kSlotEncodedOffset + slot.encodedLen);
-    published.fetch_add(1, std::memory_order_relaxed);
+    // Single producer: a plain store, no atomic RMW on the hot path.
+    published.store(published.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
     // Doorbell handshake (Dekker-style, hence seq_cst on both
     // sides): the loop arms the flag only after draining the ring,
     // then re-checks the tail; we ring only when armed. Either the

@@ -80,6 +80,7 @@ class SensorRegistry
         host::Sensor *sensor = nullptr;
         std::uint64_t listenerToken = 0;
 
+        /** Written by the entry's producer only; read anywhere. */
         std::atomic<std::uint64_t> published{0};
         std::atomic<std::uint64_t> markerRequests{0};
 

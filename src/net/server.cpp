@@ -301,7 +301,6 @@ Ps3Server::publish(const host::DumpRecord &record)
     if (stopped_.load(std::memory_order_acquire))
         return;
     StreamSlot slot;
-    slot.record = record;
     slot.encodedLen = encodeRecordTo(slot.encoded, record);
     if (publishCountdown_ == 0) {
         overflowPass();
@@ -309,8 +308,8 @@ Ps3Server::publish(const host::DumpRecord &record)
     }
     --publishCountdown_;
     // Only the used prefix of the slot goes into the ring: the
-    // record, the length word and encodedLen wire bytes — not the
-    // worst-case remainder of the encode buffer.
+    // length word and encodedLen wire bytes — not the worst-case
+    // remainder of the encode buffer.
     ring_->publishPrefix(slot, kSlotEncodedOffset + slot.encodedLen);
     // Wake idle senders. The seq_cst fence pairs with the one in
     // waitForRecords: a waiter that missed this publish is visible
@@ -581,16 +580,13 @@ Ps3Server::senderLoop(Subscriber &subscriber)
                 std::size_t n = 0;
                 for (std::size_t i = 0; i < claim.count; ++i) {
                     const std::uint64_t seq = claim.first + i;
-                    host::DumpRecord copied;
-                    if (ring_->readPrefix(seq, &copied,
-                                          sizeof copied)
-                        == transport::BroadcastRead::Ok) {
-                        batch[n].record = copied;
+                    if (readSlot(*ring_, seq, batch[n].record)
+                        == SlotRead::Ok) {
                         batch[n].seq = seq;
                         ++n;
                     } else {
-                        // Overwritten between claim and copy: the
-                        // reader's to count.
+                        // Overwritten between claim and copy, or
+                        // undecodable: the reader's to count.
                         subscriber.cursor.countDropped(1);
                     }
                 }
@@ -696,7 +692,8 @@ Ps3Server::senderLoop(Subscriber &subscriber)
                     const std::uint64_t seq = claim.first + i;
                     const std::uint64_t len =
                         ring_->wordAt(seq, kSlotLenWord);
-                    if (len < 2 || len > kMaxEncodedRecordBytes
+                    if (len < kMinEncodedRecordBytes
+                        || len > kMaxEncodedRecordBytes
                         || !ring_->stillValid(seq)) {
                         subscriber.cursor.countDropped(1);
                         closeFrame();

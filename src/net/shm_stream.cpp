@@ -9,6 +9,26 @@
 
 namespace ps3::net {
 
+SlotRead readSlot(const StreamRing &ring, std::uint64_t seq,
+                  host::DumpRecord &record)
+{
+    const std::uint64_t len = ring.wordAt(seq, kSlotLenWord);
+    const bool plausible = len >= kMinEncodedRecordBytes
+                           && len <= kMaxEncodedRecordBytes;
+    std::uint64_t words[(kMaxEncodedRecordBytes + 7) / 8];
+    if (plausible) {
+        for (std::size_t w = 0; w < (len + 7) / 8; ++w)
+            words[w] = ring.wordAt(seq, kSlotEncodedOffset / 8 + w);
+    }
+    if (!ring.stillValid(seq))
+        return SlotRead::Lapped;
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(words);
+    const auto n = static_cast<std::size_t>(len);
+    if (!plausible || decodeRecordFrom(bytes, n, record) != n)
+        return SlotRead::Corrupt;
+    return SlotRead::Ok;
+}
+
 void ShmInfo::encode(std::uint8_t out[kShmInfoSize]) const
 {
     std::memcpy(out, kShmMagic, 4);
@@ -105,18 +125,26 @@ ShmSubscriber::Poll ShmSubscriber::poll(host::DumpRecord &record,
                                         std::uint64_t &seq)
 {
     for (;;) {
-        // The record is the slot prefix; skip the encoded-bytes half
-        // of the copy (socket senders gather those, we never do).
-        switch (ring_->readPrefix(cursor_, &record, sizeof record)) {
-        case transport::BroadcastRead::Ok:
+        // Reload the producer's tail line only once the snapshot is
+        // used up, not once per record.
+        if (cursor_ >= tailSeen_) {
+            tailSeen_ = ring_->tail();
+            if (cursor_ >= tailSeen_) {
+                if (ring_->producerGone() && cursor_ >= ring_->tail())
+                    return Poll::EndOfStream;
+                return Poll::Empty;
+            }
+        }
+        switch (readSlot(*ring_, cursor_, record)) {
+        case SlotRead::Ok:
             seq = cursor_++;
             idleSpins_ = 0;
             return Poll::Record;
-        case transport::BroadcastRead::NotYet:
-            if (ring_->producerGone() && cursor_ >= ring_->tail())
-                return Poll::EndOfStream;
-            return Poll::Empty;
-        case transport::BroadcastRead::Lapped: {
+        case SlotRead::Corrupt:
+            ++dropped_;
+            ++cursor_;
+            break;
+        case SlotRead::Lapped: {
             // Skip to the oldest record that still exists; the
             // sequence jump is the caller's gap signal.
             const std::uint64_t oldest =

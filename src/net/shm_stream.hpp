@@ -11,11 +11,13 @@
  * read()/recv() per record, ever; the control socket stays open for
  * upstream marker requests and abrupt-death detection.
  *
- * StreamSlot is the ring's payload: the decoded DumpRecord (what an
- * shm subscriber consumes directly — zero parse) next to the
- * encoded wire bytes (what the server's socket senders scatter-
- * gather straight out of the ring). One encode per record, shared
- * by every consumer on every transport.
+ * StreamSlot is the ring's payload: a record's wire bytes and their
+ * length, nothing else. The producer encodes each record once;
+ * socket senders copy or gather those bytes straight out of the
+ * ring, and every reader that needs values (tier folds, shm
+ * subscribers) decodes them with the wire codec's one record parser
+ * (readSlot). A 1-pair record — epoch, length and 26 bytes — fits
+ * in one cache line.
  *
  * Liveness: the server bumps the ring's heartbeat epoch from its
  * accept loop (~0.2 s period). A subscriber that sees neither new
@@ -46,21 +48,20 @@
 namespace ps3::net {
 
 /**
- * One broadcast-ring slot: the record plus its wire encoding.
- * encodedLen is a full word so the socket senders can snoop it with
- * one atomic load (BroadcastRing::wordAt) before building iovecs.
+ * One broadcast-ring slot: a record's wire encoding (encodeRecordTo)
+ * and its length. encodedLen is a full word so readers can snoop it
+ * with one atomic load (BroadcastRing::wordAt) before copying the
+ * bytes; producers publish only the length word plus encodedLen
+ * bytes (BroadcastRing::publishPrefix).
  */
 struct StreamSlot
 {
-    host::DumpRecord record;
     std::uint64_t encodedLen = 0;
     std::uint8_t encoded[kMaxEncodedRecordBytes];
 };
 
-static_assert(offsetof(StreamSlot, encodedLen) % 8 == 0,
-              "encodedLen must sit on a word boundary");
-static_assert(offsetof(StreamSlot, record) == 0,
-              "poll() reads the record as the slot prefix");
+static_assert(offsetof(StreamSlot, encodedLen) == 0,
+              "readers snoop the length as the first slot word");
 
 /** The slot word holding encodedLen (BroadcastRing::wordAt). */
 inline constexpr std::size_t kSlotLenWord =
@@ -70,8 +71,33 @@ inline constexpr std::size_t kSlotLenWord =
 inline constexpr std::size_t kSlotEncodedOffset =
     offsetof(StreamSlot, encoded);
 
+static_assert(kSlotEncodedOffset % 8 == 0,
+              "the encoded bytes start on a word boundary");
+
 /** The broadcast ring every subscriber reads from. */
 using StreamRing = transport::BroadcastRing<StreamSlot>;
+
+static_assert(StreamRing::kSlotStride == 128,
+              "epoch + length + a 1-pair record share a cache line");
+
+/** Outcome of readSlot(). */
+enum class SlotRead
+{
+    Ok,     ///< record decoded from an intact slot
+    Lapped, ///< slot reused for a newer sequence during the read
+    Corrupt ///< intact slot whose length or bytes do not decode
+};
+
+/**
+ * Read published sequence `seq` (below the ring's tail — claimed
+ * through a cursor, or checked against tail()) and decode it: load
+ * the length word, copy the encoded bytes with atomic word loads,
+ * validate the slot epoch once, then decode (decodeRecordFrom).
+ * A Corrupt slot is the caller's to drop and count, never to
+ * deliver.
+ */
+SlotRead readSlot(const StreamRing &ring, std::uint64_t seq,
+                  host::DumpRecord &record);
 
 /** ShmInfo frame magic ("PS3M") and version. */
 inline constexpr char kShmMagic[4] = {'P', 'S', '3', 'M'};
@@ -147,7 +173,9 @@ class ShmSubscriber
      * lap (the reader fell a whole ring behind) skips forward to
      * the oldest live record transparently; the jump shows up in
      * `seq`, which is exactly what the caller's v1.1 sequence
-     * accounting turns into a gap event.
+     * accounting turns into a gap event. A slot that does not
+     * decode is skipped and counted in dropped(); its sequence
+     * shows up as a gap the same way.
      */
     Poll poll(host::DumpRecord &record, std::uint64_t &seq);
 
@@ -172,6 +200,9 @@ class ShmSubscriber
     /** Records skipped because the reader was lapped. */
     std::uint64_t lapped() const { return lapped_; }
 
+    /** Records skipped because their slot did not decode. */
+    std::uint64_t dropped() const { return dropped_; }
+
     /** The mapped ring (tests; never null). */
     const StreamRing *ring() const { return ring_; }
 
@@ -181,7 +212,9 @@ class ShmSubscriber
     transport::ShmSegment segment_;
     const StreamRing *ring_ = nullptr;
     std::uint64_t cursor_ = 0;
+    std::uint64_t tailSeen_ = 0; ///< last tail() read by poll()
     std::uint64_t lapped_ = 0;
+    std::uint64_t dropped_ = 0;
     unsigned idleSpins_ = 0;
     std::uint64_t lastHeartbeat_ = 0;
     std::chrono::steady_clock::time_point lastBeatTime_{};

@@ -289,6 +289,42 @@ encodeRecordTo(std::uint8_t *out, const host::DumpRecord &record)
     return static_cast<std::size_t>(p - out);
 }
 
+std::size_t
+decodeRecordFrom(const std::uint8_t *data, std::size_t size,
+                 host::DumpRecord &record)
+{
+    // Every field is assigned, none zeroed first: this runs once per
+    // record on every reader, and a whole-struct clear costs more
+    // than the parse.
+    const bool marked = size >= kMarkerPrefixBytes && data[0] == 'M';
+    const std::size_t start = marked ? kMarkerPrefixBytes : 0;
+    if (size - start < kMinEncodedRecordBytes || data[start] != 'S')
+        return 0;
+    record.marker = marked;
+    record.markerChar = marked ? static_cast<char>(data[1]) : '\0';
+    record.gap = false;
+    record.gapRecords = 0;
+    record.gapSpanSeconds = 0.0;
+    const std::uint8_t mask = data[start + 1];
+    record.presentMask = mask;
+    record.time = getF64(data + start + 2);
+    std::size_t pos = start + kMinEncodedRecordBytes;
+    for (unsigned pair = 0; pair < host::kMaxPairs; ++pair) {
+        double volts = 0.0;
+        double amps = 0.0;
+        if (mask & (1u << pair)) {
+            if (size - pos < 16)
+                return 0;
+            volts = getF64(data + pos);
+            amps = getF64(data + pos + 8);
+            pos += 16;
+        }
+        record.voltage[pair] = volts;
+        record.current[pair] = amps;
+    }
+    return pos;
+}
+
 void
 encodeBucket(std::vector<std::uint8_t> &out, host::Tier tier,
              const host::HistoryBucket &bucket)
@@ -350,6 +386,7 @@ RecordDecoder::feed(const std::uint8_t *data, std::size_t size,
                     BucketCallback bucket_cb)
 {
     std::size_t pos = 0;
+    host::DumpRecord record;
     while (pos < size) {
         const std::uint8_t kind = data[pos];
         if (kind == 'A') {
@@ -402,45 +439,29 @@ RecordDecoder::feed(const std::uint8_t *data, std::size_t size,
             pos = offset;
             continue;
         }
-        if (kind == 'M') {
-            if (size - pos < 2 + 8)
-                throw DeviceError(
-                    "record batch: truncated marker record");
-            pendingMarker_ = true;
-            pendingMarkerChar_ =
-                static_cast<char>(data[pos + 1]);
-            pendingMarkerTime_ = getF64(data + pos + 2);
-            pos += 2 + 8;
-            continue;
-        }
-        if (kind != 'S')
+        if (kind != 'M' && kind != 'S')
             throw DeviceError("record batch: unknown record kind "
                               + std::to_string(kind));
-        if (size - pos < 2 + 8)
-            throw DeviceError(
-                "record batch: truncated sample record");
-        host::DumpRecord record;
-        record.presentMask = data[pos + 1];
-        record.time = getF64(data + pos + 2);
-        std::size_t offset = pos + 2 + 8;
-        for (unsigned pair = 0; pair < host::kMaxPairs; ++pair) {
-            if (!(record.presentMask & (1u << pair)))
-                continue;
-            if (size - offset < 16)
-                throw DeviceError(
-                    "record batch: truncated sample record");
-            record.voltage[pair] = getF64(data + offset);
-            record.current[pair] = getF64(data + offset + 8);
-            offset += 16;
+        if (kind == 'M' && size - pos == kMarkerPrefixBytes) {
+            // A bare marker prefix ending the batch flags the first
+            // record of the next one.
+            pendingMarker_ = true;
+            pendingMarkerChar_ = static_cast<char>(data[pos + 1]);
+            return;
         }
-        if (pendingMarker_) {
+        const std::size_t used =
+            decodeRecordFrom(data + pos, size - pos, record);
+        if (used == 0)
+            throw DeviceError(
+                "record batch: truncated or malformed sample record");
+        if (pendingMarker_ && !record.marker) {
             record.marker = true;
             record.markerChar = pendingMarkerChar_;
-            pendingMarker_ = false;
         }
+        pendingMarker_ = false;
         ++recordCount_;
         cb(context, record);
-        pos = offset;
+        pos += used;
     }
 }
 

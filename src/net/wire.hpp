@@ -109,13 +109,20 @@ inline constexpr std::uint8_t kTierRequest = 'T';
 /** Fixed part of an 'A' aggregate record (before the pair sums). */
 inline constexpr std::size_t kBucketRecordFixedSize = 3 + 4 * 8 + 4;
 
+/** Marker prefix of an encoded record: 'M' char f64-time. */
+inline constexpr std::size_t kMarkerPrefixBytes = 2 + 8;
+
+/** Smallest encoded record: an 'S' record with no pair present. */
+inline constexpr std::size_t kMinEncodedRecordBytes = 2 + 8;
+
 /**
- * Upper bound on one encoded record: a marker prefix (10 bytes)
- * plus an 'S' record with every pair present. Sizes the in-slot
- * encode buffer of the broadcast ring (net/shm_stream.hpp).
+ * Upper bound on one encoded record: a marker prefix plus an 'S'
+ * record with every pair present. Sizes the broadcast-ring slot
+ * (net/shm_stream.hpp), which holds nothing but these bytes.
  */
 inline constexpr std::size_t kMaxEncodedRecordBytes =
-    10 + 2 + 8 + host::kMaxPairs * 16;
+    kMarkerPrefixBytes + kMinEncodedRecordBytes
+    + host::kMaxPairs * 16;
 
 /** ServerHello status codes. */
 enum class HelloStatus : std::uint8_t
@@ -227,6 +234,20 @@ std::size_t encodeRecordTo(std::uint8_t *out,
                            const host::DumpRecord &record);
 
 /**
+ * Decode the record at the front of `data`: an optional marker
+ * prefix, then one 'S' sample record — exactly what
+ * encodeRecordTo() writes. The one parser of that layout: the
+ * batch decoder (RecordDecoder::feed) and every broadcast-ring slot
+ * reader (net/shm_stream.hpp) go through it. Fields the wire does
+ * not carry (absent pairs, the gap annotation) come back zero.
+ * @return Bytes consumed, or 0 when `data` does not start with a
+ *         complete, well-formed record.
+ */
+std::size_t decodeRecordFrom(const std::uint8_t *data,
+                             std::size_t size,
+                             host::DumpRecord &record);
+
+/**
  * Append one aggregate bucket to a batch payload (v1.2):
  * "'A' tier presentMask f64-start f64-min f64-max f64-sumPower
  *  u32-samples { f32-sumVolt f32-sumAmp } per present pair".
@@ -262,9 +283,10 @@ std::vector<std::uint8_t> encodeHeartbeat(std::uint64_t next_seq);
  * Incremental batch decoder (client side).
  *
  * feed() consumes one batch payload and invokes the callback per
- * decoded record; a marker prefix is folded into the record that
- * follows it (matching how the encoder emits them), surviving batch
- * boundaries. 'A' aggregate records (v1.2) fire the bucket callback;
+ * decoded record (decodeRecordFrom); a marker prefix is folded into
+ * the record that follows it (matching how the encoder emits them),
+ * and one that ends a batch carries over to the next batch's first
+ * record. 'A' aggregate records (v1.2) fire the bucket callback;
  * feeding one without a bucket callback is a protocol violation.
  * Malformed input raises DeviceError.
  */
@@ -294,7 +316,6 @@ class RecordDecoder
     /** Marker seen, waiting for its sample record. */
     bool pendingMarker_ = false;
     char pendingMarkerChar_ = '\0';
-    double pendingMarkerTime_ = 0.0;
     std::uint64_t recordCount_ = 0;
     std::uint64_t bucketCount_ = 0;
 };

@@ -84,9 +84,13 @@ class BroadcastRing
     static constexpr std::size_t kSlotStride =
         ((8 + kPayloadWords * 8) + 63) / 64 * 64;
 
-    /** Layout magic ("PS3R") and version, checked by attach(). */
+    /**
+     * Layout magic ("PS3R") and version, checked by attach().
+     * Version 2: net::StreamSlot holds the wire bytes only (version
+     * 1 carried the decoded record next to them).
+     */
     static constexpr std::uint32_t kMagic = 0x52335350u;
-    static constexpr std::uint32_t kLayoutVersion = 1;
+    static constexpr std::uint32_t kLayoutVersion = 2;
 
     /** Bytes a ring of the given capacity occupies. */
     static std::size_t bytesRequired(std::size_t capacity)
@@ -178,8 +182,8 @@ class BroadcastRing
      * prefix of T). The slot's remaining bytes keep whatever a
      * previous occupant left, so a full readAt() of such a slot
      * returns unspecified bytes past the prefix — only prefix
-     * readers (readPrefix, or rawAt() bounded by an in-prefix
-     * length word) may look at it. For payloads ending in a
+     * readers (wordAt() or rawAt() bounded by an in-prefix length
+     * word) may look at it. For payloads ending in a
      * variable-length buffer this skips staging and storing the
      * dead suffix, which is most of the producer's work when the
      * buffer is sized for the worst case.
@@ -233,53 +237,6 @@ class BroadcastRing
             return BroadcastRead::Lapped;
         std::memcpy(&out, staged, sizeof(T));
         return BroadcastRead::Ok;
-    }
-
-    /**
-     * Copy the first `bytes` payload bytes of sequence `seq` — a
-     * leading member of T — under the same seqlock contract as
-     * readAt(). A reader that only needs a prefix of the slot (the
-     * shm subscriber wants the decoded record, not the encoded wire
-     * bytes stored after it) skips the rest of the copy. Unlike
-     * readAt(), `out` may hold torn bytes after a Lapped return —
-     * whole-word prefixes copy straight into the caller's buffer
-     * and validate afterwards; discard `out` unless the result
-     * is Ok.
-     */
-    BroadcastRead readPrefix(std::uint64_t seq, void *out,
-                             std::size_t bytes) const
-    {
-        const std::uint8_t *slot = slotBase(seq & mask_);
-        const auto *epoch =
-            reinterpret_cast<const std::atomic<std::uint64_t> *>(
-                slot);
-        const auto *words = reinterpret_cast<
-            const std::atomic<std::uint64_t> *>(slot + 8);
-
-        const std::uint64_t want = 2 * seq + 2;
-        const std::uint64_t before =
-            epoch->load(std::memory_order_acquire);
-        if (before != want)
-            return before < want ? BroadcastRead::NotYet
-                                 : BroadcastRead::Lapped;
-        const std::size_t count =
-            std::min(kPayloadWords, (bytes + 7) / 8);
-        if (bytes % 8 == 0 && bytes <= count * 8
-            && reinterpret_cast<std::uintptr_t>(out) % 8 == 0) {
-            auto *dst = static_cast<std::uint64_t *>(out);
-            for (std::size_t w = 0; w < count; ++w)
-                dst[w] = words[w].load(std::memory_order_relaxed);
-        } else {
-            alignas(8) std::uint64_t staged[kPayloadWords];
-            for (std::size_t w = 0; w < count; ++w)
-                staged[w] =
-                    words[w].load(std::memory_order_relaxed);
-            std::memcpy(out, staged, std::min(bytes, count * 8));
-        }
-        std::atomic_thread_fence(std::memory_order_acquire);
-        return epoch->load(std::memory_order_relaxed) == want
-                   ? BroadcastRead::Ok
-                   : BroadcastRead::Lapped;
     }
 
     /**

@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +34,7 @@
 #include "net/fleet_server.hpp"
 #include "net/net_power_sensor.hpp"
 #include "net/registry.hpp"
+#include "net/shm_stream.hpp"
 #include "net/wire.hpp"
 #include "net/wire_v2.hpp"
 #include "transport/socket_device.hpp"
@@ -899,6 +903,223 @@ TEST(FleetIdle, TimerDisarmsAfterTheLastConnection)
 
     registry->stopAll();
     server.stop();
+}
+
+// ----- broadcast-ring slots -----------------------------------------------
+
+/** Every mask 0..15, with and without a marker, with inf/NaN values. */
+std::vector<host::DumpRecord>
+slotEdgeRecords()
+{
+    const double special[] = {
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::bit_cast<double>(std::uint64_t{0x7FF8000000000123}),
+        -0.0,
+        12.5,
+    };
+    std::vector<host::DumpRecord> records;
+    for (unsigned marked = 0; marked < 2; ++marked) {
+        for (unsigned mask = 0; mask < 16; ++mask) {
+            host::DumpRecord record;
+            const unsigned k = marked * 16 + mask;
+            record.time = k == 7 ? special[2] : 50e-6 * k;
+            record.presentMask = static_cast<std::uint8_t>(mask);
+            for (unsigned pair = 0; pair < host::kMaxPairs; ++pair) {
+                record.voltage[pair] = special[(k + pair) % 5];
+                record.current[pair] = special[(k + pair + 2) % 5];
+            }
+            record.marker = marked != 0;
+            record.markerChar =
+                marked != 0 ? static_cast<char>('A' + mask) : '\0';
+            records.push_back(record);
+        }
+    }
+    return records;
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/** The wire carries time, mask, marker and present pairs only. */
+void
+expectSameWireRecord(const host::DumpRecord &got,
+                     const host::DumpRecord &want)
+{
+    EXPECT_EQ(bits(got.time), bits(want.time));
+    EXPECT_EQ(got.presentMask, want.presentMask);
+    EXPECT_EQ(got.marker, want.marker);
+    EXPECT_EQ(got.markerChar, want.markerChar);
+    for (unsigned pair = 0; pair < host::kMaxPairs; ++pair) {
+        const bool present = (want.presentMask >> pair) & 1u;
+        EXPECT_EQ(bits(got.voltage[pair]),
+                  present ? bits(want.voltage[pair]) : 0u);
+        EXPECT_EQ(bits(got.current[pair]),
+                  present ? bits(want.current[pair]) : 0u);
+    }
+    EXPECT_FALSE(got.gap);
+}
+
+/** Blocking exact read with a generous per-call timeout. */
+void
+readExactly(transport::SocketDevice &socket, std::uint8_t *out,
+            std::size_t n)
+{
+    std::size_t got = 0;
+    while (got < n) {
+        const std::size_t r = socket.read(out + got, n - got, 5.0);
+        ASSERT_FALSE(r == 0 && socket.closed());
+        got += r;
+    }
+}
+
+TEST(FleetSlots, PublishedSlotsDecodeBitExact)
+{
+    auto registry = makeRegistry(1, 64);
+    const auto records = slotEdgeRecords();
+    for (const auto &record : records)
+        registry->publish(0, record);
+
+    const net::StreamRing &ring = *registry->entry(0).ring;
+    ASSERT_EQ(ring.tail(), records.size());
+    for (std::uint64_t seq = 0; seq < records.size(); ++seq) {
+        SCOPED_TRACE("seq " + std::to_string(seq));
+        host::DumpRecord got;
+        ASSERT_EQ(net::readSlot(ring, seq, got), net::SlotRead::Ok);
+        expectSameWireRecord(got, records[seq]);
+
+        // The slot holds encodeRecordTo's bytes and nothing else.
+        std::uint8_t want[net::kMaxEncodedRecordBytes];
+        const std::size_t len =
+            net::encodeRecordTo(want, records[seq]);
+        net::StreamSlot slot{};
+        ASSERT_EQ(ring.readAt(seq, slot), transport::BroadcastRead::Ok);
+        ASSERT_EQ(slot.encodedLen, len);
+        EXPECT_EQ(std::memcmp(slot.encoded, want, len), 0);
+    }
+}
+
+TEST(FleetSlots, RawEgressEmitsTheEncodedBytes)
+{
+    auto registry = makeRegistry(1);
+    net::FleetServer server(*registry);
+    const auto endpoint =
+        server.listen(Endpoint::parse("unix://" + socketPath()));
+
+    // A v1.0 session: batches are a u32 length and bare records, so
+    // the stream bytes are exactly the records' wire bytes.
+    net::ClientHello hello;
+    hello.minor = 0;
+    auto socket = transport::SocketDevice::connect(endpoint, 5.0);
+    const auto hello_bytes = hello.encode();
+    socket->write(hello_bytes.data(), hello_bytes.size());
+    std::uint8_t prefix[net::kServerHelloPrefixSize];
+    readExactly(*socket, prefix, sizeof prefix);
+    net::ServerHello reply;
+    std::vector<std::uint8_t> payload(
+        net::ServerHello::decodePrefix(prefix, sizeof prefix, reply));
+    readExactly(*socket, payload.data(), payload.size());
+    ASSERT_EQ(reply.status, net::HelloStatus::Ok);
+
+    const auto records = slotEdgeRecords();
+    std::vector<std::uint8_t> want;
+    for (const auto &record : records) {
+        registry->publish(0, record);
+        net::encodeRecord(want, record);
+    }
+
+    std::vector<std::uint8_t> got;
+    while (got.size() < want.size()) {
+        std::uint8_t head[4];
+        readExactly(*socket, head, sizeof head);
+        const std::uint32_t len = head[0] | (head[1] << 8)
+                                  | (head[2] << 16)
+                                  | (std::uint32_t(head[3]) << 24);
+        ASSERT_GT(len, 0u);
+        ASSERT_LE(got.size() + len, want.size());
+        const std::size_t at = got.size();
+        got.resize(at + len);
+        readExactly(*socket, got.data() + at, len);
+    }
+    EXPECT_EQ(got, want);
+
+    registry->stopAll();
+    server.stop();
+}
+
+TEST(FleetSlots, TierPumpDropsAndCountsBadSlots)
+{
+    auto registry = makeRegistry(1);
+    net::FleetServer server(*registry);
+    const auto endpoint =
+        server.listen(Endpoint::parse("unix://" + socketPath()));
+    auto client = net::FleetClient::connect(endpoint, 5.0);
+    subscribeOk(*client, 1, 0, host::Tier::Hz1000);
+
+    int tick = 0;
+    auto publishGood = [&](int n) {
+        for (int i = 0; i < n; ++i, ++tick)
+            registry->publish(0, sensorRecord(0, 50e-6 * tick));
+    };
+    // Bad slots under a valid epoch: a length word out of range, a
+    // record kind the codec does not know, and a record shorter
+    // than its mask promises.
+    net::StreamRing &ring = *registry->entry(0).ring;
+    auto publishBad = [&](std::uint64_t len, std::uint8_t kind,
+                          std::uint8_t mask) {
+        net::StreamSlot slot{};
+        slot.encodedLen =
+            net::encodeRecordTo(slot.encoded, sensorRecord(0, 0.0));
+        slot.encoded[0] = kind;
+        slot.encoded[1] = mask;
+        slot.encodedLen = len;
+        ring.publish(slot);
+        ++tick;
+    };
+    publishGood(50);
+    publishBad(0, 'S', 0x01);
+    publishBad(net::kMaxEncodedRecordBytes + 1, 'S', 0x01);
+    publishGood(30);
+    publishBad(26, 'Q', 0x01);
+    publishBad(26, 'S', 0x0F);
+    publishGood(45);
+    constexpr std::uint64_t kBad = 4;
+
+    registry->stopAll();
+    std::thread stopper([&] { server.stop(); });
+    std::uint64_t delivered = 0;
+    bool closed = false;
+    const auto deadline = std::chrono::steady_clock::now()
+                          + std::chrono::seconds(10);
+    net::FleetClient::Event event;
+    while (!closed && std::chrono::steady_clock::now() < deadline) {
+        if (!client->poll(event, 0.1))
+            continue;
+        if (event.kind == Kind::Buckets) {
+            for (const auto &[tier, bucket] : event.buckets) {
+                EXPECT_EQ(tier, host::Tier::Hz1000);
+                // Only good records fold: 12 V at 1 A.
+                EXPECT_DOUBLE_EQ(bucket.minPower, 12.0);
+                EXPECT_DOUBLE_EQ(bucket.maxPower, 12.0);
+                delivered += bucket.samples;
+            }
+        }
+        EXPECT_NE(event.kind, Kind::Records);
+        closed = event.kind == Kind::ConnectionClosed;
+    }
+    stopper.join();
+
+    // delivered + dropped + gap = published: the client drops
+    // nothing itself, and every bad slot is one server drop that
+    // the client sees as a gap.
+    const std::uint64_t published = ring.tail();
+    EXPECT_EQ(published, static_cast<std::uint64_t>(tick));
+    EXPECT_EQ(server.recordsDropped(), kBad);
+    EXPECT_EQ(client->gapRecords(), kBad);
+    EXPECT_EQ(delivered + client->gapRecords(), published);
 }
 
 // ----- listener contract -------------------------------------------------

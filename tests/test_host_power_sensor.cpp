@@ -351,6 +351,61 @@ TEST(PowerSensorTest, DestructorReturnsPromptlyWithIdleStream)
     EXPECT_FALSE(stub.streaming()); // StopStream reached the device
 }
 
+TEST(PowerSensorTest, ControlCallsGetTheMutexFromABusyReader)
+{
+    // A pipe fed at the device's rate (20 sets per ms): the reader
+    // holds the control mutex across its blocking read and takes it
+    // straight back after every chunk. Control calls must still get
+    // it: back-to-back version queries all return (the ctest timeout
+    // is the guard).
+    constexpr std::size_t kCapacity = 1u << 16;
+    transport::PipeDevice pipe(
+        transport::PipeDevice::Backend::LockFreeRing, kCapacity);
+    firmware::DeviceConfig config;
+    config[0].inUse = config[1].inUse = true;
+    firmware::WireStub stub(pipe, config);
+
+    std::vector<std::uint8_t> chunk;
+    for (unsigned set = 0; set < 20; ++set) {
+        const auto stamp = firmware::encodeFrame(
+            firmware::makeTimestampFrame(25 + 50ull * set));
+        chunk.insert(chunk.end(), stamp.begin(), stamp.end());
+        for (unsigned ch = 0; ch < firmware::kNumChannels; ++ch) {
+            firmware::Frame frame;
+            frame.sensorId = static_cast<std::uint8_t>(ch);
+            frame.level = static_cast<std::uint16_t>(300 + ch);
+            const auto bytes = firmware::encodeFrame(frame);
+            chunk.insert(chunk.end(), bytes.begin(), bytes.end());
+        }
+    }
+
+    auto sensor = std::make_unique<PowerSensor>(pipe);
+    std::atomic<bool> stop{false};
+    std::thread pump([&] {
+        // Never wait for ring room (WireStub::stream).
+        while (!stop.load(std::memory_order_acquire)) {
+            if (pipe.buffered() + chunk.size() <= kCapacity / 2)
+                stub.stream(chunk.data(), chunk.size());
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+
+    ASSERT_TRUE(sensor->waitForSamples(1000));
+    constexpr int kCalls = 20;
+    for (int i = 0; i < kCalls; ++i)
+        EXPECT_EQ(sensor->firmwareVersion(), firmware::firmwareVersion());
+    // The stream resumes after every call.
+    EXPECT_TRUE(stub.streaming());
+    EXPECT_TRUE(sensor->waitForSamples(1000));
+
+    // An idle pipe: the reader parks in its read with the mutex held.
+    stop.store(true, std::memory_order_release);
+    pump.join();
+    for (int i = 0; i < kCalls; ++i)
+        EXPECT_EQ(sensor->firmwareVersion(), firmware::firmwareVersion());
+    sensor.reset();
+}
+
 TEST(PowerSensorTest, ConcurrentMarkersFromManyThreadsAllResolve)
 {
     // mark() is documented lock-free and callable from any thread,

@@ -77,8 +77,7 @@ void
 publishSlot(StreamRing &ring, double time)
 {
     StreamSlot slot{};
-    slot.record = testRecord(time, 0x1);
-    slot.encodedLen = encodeRecordTo(slot.encoded, slot.record);
+    slot.encodedLen = encodeRecordTo(slot.encoded, testRecord(time, 0x1));
     ring.publish(slot);
 }
 
@@ -209,8 +208,7 @@ TEST(ShmStream, SlotExposesEncodedLengthAsOneWord)
     ASSERT_NE(ring, nullptr);
 
     StreamSlot slot{};
-    slot.record = testRecord(1.5, 0x3);
-    slot.encodedLen = encodeRecordTo(slot.encoded, slot.record);
+    slot.encodedLen = encodeRecordTo(slot.encoded, testRecord(1.5, 0x3));
     ASSERT_GT(slot.encodedLen, 0u);
     ring->publish(slot);
 
@@ -220,7 +218,9 @@ TEST(ShmStream, SlotExposesEncodedLengthAsOneWord)
 
     StreamSlot out{};
     ASSERT_EQ(ring->readAt(0, out), transport::BroadcastRead::Ok);
-    EXPECT_EQ(out.record.time, 1.5);
+    host::DumpRecord record;
+    ASSERT_EQ(readSlot(*ring, 0, record), SlotRead::Ok);
+    EXPECT_EQ(record.time, 1.5);
     EXPECT_EQ(out.encodedLen, slot.encodedLen);
     EXPECT_EQ(std::memcmp(out.encoded, slot.encoded,
                           static_cast<std::size_t>(slot.encodedLen)),
@@ -348,6 +348,88 @@ TEST(ShmStream, LapsAreAccountedExactly)
     EXPECT_EQ(delivered, kCapacity);
     EXPECT_EQ(sub->lapped(), kPublished - kCapacity);
     EXPECT_EQ(delivered + sub->lapped(), kPublished);
+}
+
+TEST(ShmStream, BadSlotsAreDroppedAndCountedNeverDelivered)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    transport::SocketDevice serverSide(fds[0]);
+    transport::SocketDevice clientSide(fds[1]);
+
+    ShmSegment segment =
+        ShmSegment::create(StreamRing::bytesRequired(64), "ps3-bad");
+    StreamRing *ring =
+        StreamRing::create(segment.data(), segment.size(), 64);
+    ASSERT_NE(ring, nullptr);
+    sendShmHandover(serverSide, segment);
+    std::unique_ptr<ShmSubscriber> sub =
+        ShmSubscriber::attach(clientSide, 1.0);
+    ASSERT_NE(sub, nullptr);
+
+    // Bad slots under a valid epoch: a length word out of range, a
+    // record kind the codec does not know, a record shorter than
+    // its mask promises, and trailing bytes the record does not use.
+    auto publishBad = [&](std::uint64_t len, std::uint8_t kind,
+                          std::uint8_t mask) {
+        StreamSlot slot{};
+        encodeRecordTo(slot.encoded, testRecord(0.0, 0x1));
+        slot.encoded[0] = kind;
+        slot.encoded[1] = mask;
+        slot.encodedLen = len;
+        ring->publish(slot);
+    };
+    publishSlot(*ring, 1.0);
+    publishBad(0, 'S', 0x1);
+    publishBad(kMaxEncodedRecordBytes + 1, 'S', 0x1);
+    publishSlot(*ring, 2.0);
+    publishBad(26, 'Q', 0x1);
+    publishBad(26, 'S', 0xF);
+    publishBad(27, 'S', 0x1);
+    publishSlot(*ring, 3.0);
+    constexpr std::uint64_t kBad = 5;
+
+    host::DumpRecord record;
+    std::uint64_t seq = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t gap = 0;
+    std::uint64_t expect = sub->position();
+    while (sub->poll(record, seq) == ShmSubscriber::Poll::Record) {
+        EXPECT_EQ(record.time, 1.0 + static_cast<double>(delivered));
+        gap += seq - expect;
+        expect = seq + 1;
+        ++delivered;
+    }
+    EXPECT_EQ(delivered, 3u);
+    EXPECT_EQ(sub->dropped(), kBad);
+    EXPECT_EQ(sub->lapped(), 0u);
+    // The caller sees every dropped slot as a sequence gap.
+    EXPECT_EQ(gap, kBad);
+    EXPECT_EQ(delivered + sub->dropped() + sub->lapped(),
+              ring->tail());
+}
+
+TEST(ShmStream, AttachRefusesAVersionOneRing)
+{
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    transport::SocketDevice serverSide(fds[0]);
+    transport::SocketDevice clientSide(fds[1]);
+
+    ShmSegment segment =
+        ShmSegment::create(StreamRing::bytesRequired(8), "ps3-v1");
+    ASSERT_NE(StreamRing::create(segment.data(), segment.size(), 8),
+              nullptr);
+    // Rewrite the header's layout version (the u32 after the magic)
+    // to the old slot layout's.
+    const std::uint32_t old_version = 1;
+    std::memcpy(static_cast<std::uint8_t *>(segment.data()) + 4,
+                &old_version, sizeof old_version);
+    EXPECT_EQ(StreamRing::attach(segment.data(), segment.size()),
+              nullptr);
+
+    sendShmHandover(serverSide, segment);
+    EXPECT_THROW(ShmSubscriber::attach(clientSide, 1.0), DeviceError);
 }
 
 // ----- end-to-end over shm:// --------------------------------------------

@@ -24,7 +24,9 @@ Checks (stdlib only, no external dependencies):
     registers, every "N+ tests" claim must agree with every other,
     and the bench tally (paper benches + ablations + extensions)
     must match the targets bench/CMakeLists.txt builds;
- 6. if doxygen is installed, the headers additionally must produce
+ 6. a Markdown line may say a `BM_*` bench "gates" or "is gated"
+    only if tools/bench_compare.py's GATED lists that bench;
+ 7. if doxygen is installed, the headers additionally must produce
     no documentation warnings (skipped silently otherwise, so the
     check works in minimal containers).
 
@@ -39,6 +41,8 @@ import tempfile
 from pathlib import Path
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+# "`BM_Name` gates ..." / "BM_Name is gated": a claim about the gate.
+GATE_CLAIM = re.compile(r"`?(BM_\w+)(?:/\w+)?`?\s+(?:gates|is gated)\b")
 DOC_HEADER_DIRS = ("src/obs", "src/host")
 SKIP_DIRS = {".git", "build", ".claude"}
 
@@ -213,6 +217,35 @@ def check_claimed_counts(root: Path):
     return problems
 
 
+def check_gated_claims(root: Path):
+    """Markdown claims that a bench gates which GATED does not list."""
+    sys.path.insert(0, str(root / "tools"))
+    try:
+        from bench_compare import GATED
+    finally:
+        sys.path.pop(0)
+    gated = {name.split("/")[0] for name in GATED}
+    problems = []
+    for md in markdown_files(root):
+        in_fence = False
+        lines = md.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            if line.lstrip().startswith("```"):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for match in GATE_CLAIM.finditer(line):
+                if match.group(1) not in gated:
+                    problems.append(
+                        f"{md.relative_to(root)}:{number}: says "
+                        f"{match.group(1)} is gated, but "
+                        f"tools/bench_compare.py GATED does not "
+                        f"list it"
+                    )
+    return problems
+
+
 def check_doxygen(root: Path):
     """Doxygen warnings for the public headers, when available."""
     doxygen = shutil.which("doxygen")
@@ -258,6 +291,7 @@ def main(argv):
     problems += check_path_spans(root)
     problems += check_header_docs(root)
     problems += check_claimed_counts(root)
+    problems += check_gated_claims(root)
     problems += check_doxygen(root)
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
