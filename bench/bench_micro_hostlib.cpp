@@ -217,6 +217,49 @@ BENCHMARK(BM_EndToEndPipeline)
     ->UseRealTime();
 
 /**
+ * Firmware synthesis alone: Firmware::produce() on the seeded 3-pair
+ * gpuRig (RTX 4000 Ada) running a ~2 700-kernel repeating program
+ * with phase dips and decay tails, pulled in the 8192-byte bursts
+ * the host reader asks for. ns_per_frame_set covers sensor and DUT
+ * physics, ADC conversion and framing (no link, no parser).
+ */
+void
+BM_FirmwareSynthesis(benchmark::State &state)
+{
+    host::rigs::RigOptions options;
+    options.seed = 1;
+    auto rig = host::rigs::gpuRig(dut::GpuSpec::rtx4000Ada(), options);
+    std::vector<dut::KernelSchedule> program;
+    double t = 0.0;
+    for (unsigned k = 0; t < 1800.0; ++k) {
+        t += 0.05 + 0.05 * (k % 8);
+        const double duration = 0.1 + 0.1 * ((k * 5) % 8);
+        program.push_back(
+            {t, duration, 90.0 + 5.0 * ((k * 3) % 8), k % 5});
+        t += duration;
+    }
+    rig.gpu->setProgram(std::move(program));
+
+    const auto start = static_cast<std::uint8_t>(
+        firmware::Command::StartStream);
+    rig.firmware->hostWrite(&start, 1);
+    std::vector<std::uint8_t> buffer(8192);
+    const std::uint64_t sets0 = rig.firmware->frameSetsProduced();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            rig.firmware->produce(buffer.data(), buffer.size()));
+    }
+    const auto sets = static_cast<double>(
+        rig.firmware->frameSetsProduced() - sets0);
+    state.counters["frame_sets_per_s"] =
+        benchmark::Counter(sets, benchmark::Counter::kIsRate);
+    state.counters["ns_per_frame_set"] = benchmark::Counter(
+        sets * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FirmwareSynthesis)->Unit(benchmark::kMicrosecond);
+
+/**
  * Wire-level pipeline: pre-encoded 4-module frame sets pumped through
  * the SPSC-ring PipeDevice into a live PowerSensor (reader thread,
  * block-mode parser, calibrated state update). Unlike

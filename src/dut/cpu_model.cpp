@@ -58,18 +58,27 @@ CpuDutModel::setPowerScale(double scale)
     powerScale_.store(scale, std::memory_order_relaxed);
 }
 
-double
-CpuDutModel::packagePower(double t) const
+namespace {
+
+/** First phase starting after t. */
+auto
+phaseAfter(const std::vector<CpuPhase> &program, double t)
 {
-    const double scale =
-        powerScale_.load(std::memory_order_relaxed);
-    const auto program = program_.load();
-    const auto it = std::upper_bound(
-        program->begin(), program->end(), t,
+    return std::upper_bound(
+        program.begin(), program.end(), t,
         [](double v, const CpuPhase &p) { return v < p.start; });
-    if (it == program->begin())
+}
+
+} // namespace
+
+double
+CpuDutModel::powerIn(const Program &program,
+                     Program::const_iterator next, double t,
+                     double scale) const
+{
+    if (next == program.begin())
         return spec_.idlePower;
-    const CpuPhase &phase = *(it - 1);
+    const CpuPhase &phase = *(next - 1);
 
     const double tau = t - phase.start;
     if (tau <= phase.duration) {
@@ -91,19 +100,40 @@ CpuDutModel::packagePower(double t) const
 }
 
 double
+CpuDutModel::packagePower(double t) const
+{
+    const double scale =
+        powerScale_.load(std::memory_order_relaxed);
+    const auto program = program_.load();
+    return powerIn(*program, phaseAfter(*program, t), t, scale);
+}
+
+double
 CpuDutModel::truePower(double t)
 {
     return packagePower(t);
 }
 
-double
-CpuDutModel::current(unsigned rail, double t, double volts)
+void
+CpuDutModel::demandBlock(unsigned rail, const double *times,
+                         std::size_t n, double *watts, double *amps)
 {
     if (rail != 0)
         throw UsageError("CpuDutModel: rail out of range");
-    if (volts <= 0.0)
-        return 0.0;
-    return packagePower(t) / volts;
+    if (n == 0)
+        return;
+    const double scale =
+        powerScale_.load(std::memory_order_relaxed);
+    const auto program = program_.load();
+    // Times are non-decreasing: search once, then walk forward.
+    auto next = phaseAfter(*program, times[0]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = times[i];
+        while (next != program->end() && !(t < next->start))
+            ++next;
+        watts[i] = powerIn(*program, next, t, scale);
+        amps[i] = 0.0;
+    }
 }
 
 } // namespace ps3::dut

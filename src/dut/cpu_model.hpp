@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared_snapshot.hpp"
 #include "dut/dut.hpp"
 
 namespace ps3::dut {
@@ -57,7 +58,9 @@ struct CpuPhase
 /**
  * CPU package as a measurable DUT (single EPS 12 V rail).
  *
- * Thread safe: setProgram() may race with current()/truePower().
+ * Thread safe: setProgram()/setPowerScale() may race with reads.
+ * Every element of one demandBlock() sees the same program and
+ * scale (one snapshot and one phase search per block).
  */
 class CpuDutModel : public Dut
 {
@@ -65,7 +68,8 @@ class CpuDutModel : public Dut
     explicit CpuDutModel(CpuSpec spec);
 
     unsigned railCount() const override { return 1; }
-    double current(unsigned rail, double t, double volts) override;
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /**
@@ -96,10 +100,17 @@ class CpuDutModel : public Dut
     using Program = std::vector<CpuPhase>;
 
     CpuSpec spec_;
-    std::atomic<std::shared_ptr<const Program>> program_;
+    SharedSnapshot<Program> program_;
     std::atomic<double> powerScale_{1.0};
 
     double steadyPower(const CpuPhase &phase) const;
+
+    /**
+     * Package power at t, given `next`, the first phase of `program`
+     * starting after t (upper_bound on start).
+     */
+    double powerIn(const Program &program, Program::const_iterator next,
+                   double t, double scale) const;
 };
 
 } // namespace ps3::dut

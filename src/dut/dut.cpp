@@ -27,17 +27,38 @@ RailBinding::RailBinding(std::shared_ptr<Dut> dut, unsigned rail,
         throw UsageError("RailBinding: rail index out of range");
 }
 
-void
-RailBinding::resolve(double t, double &volts, double &amps) const
+double
+Dut::current(unsigned rail, double t, double volts)
 {
-    // Fixed point: start from the unloaded supply voltage, then let
-    // the load and the source resistance settle. Two iterations are
-    // ample for the milli-ohm source impedances modelled here.
-    volts = supply_->voltage(t, 0.0);
-    amps = 0.0;
-    for (int i = 0; i < 2; ++i) {
-        amps = dut_->current(rail_, t, volts);
-        volts = supply_->voltage(t, amps);
+    double watts = 0.0;
+    double amps = 0.0;
+    demandBlock(rail, &t, 1, &watts, &amps);
+    return railCurrent(watts, amps, volts);
+}
+
+void
+RailBinding::resolveBlock(const double *times, std::size_t n,
+                          double *volts, double *amps) const
+{
+    // The output arrays hold the demand (watts in volts[], amps in
+    // amps[]) until each instant is resolved in place.
+    dut_->demandBlock(rail_, times, n, volts, amps);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = times[i];
+        const double watts = volts[i];
+        const double demand_amps = amps[i];
+        // Fixed point: start from the unloaded supply voltage, then
+        // let the load and the source resistance settle. Two
+        // iterations are ample for the milli-ohm source impedances
+        // modelled here.
+        double v = supply_->voltage(t, 0.0);
+        double a = 0.0;
+        for (int k = 0; k < 2; ++k) {
+            a = railCurrent(watts, demand_amps, v);
+            v = supply_->voltage(t, a);
+        }
+        volts[i] = v;
+        amps[i] = a;
     }
 }
 

@@ -187,19 +187,13 @@ GpuDutModel::setPowerScale(double scale)
 }
 
 double
-GpuDutModel::totalPower(double t) const
+GpuDutModel::powerIn(const Program &program,
+                     Program::const_iterator next, double t,
+                     double scale) const
 {
-    const double scale =
-        powerScale_.load(std::memory_order_relaxed);
-    const auto program = program_.load();
-
-    // Find the last kernel starting at or before t.
-    const auto it = std::upper_bound(
-        program->begin(), program->end(), t,
-        [](double v, const KernelSchedule &k) { return v < k.start; });
-    if (it == program->begin())
+    if (next == program.begin())
         return spec_.idlePower;
-    const KernelSchedule &k = *(it - 1);
+    const KernelSchedule &k = *(next - 1);
 
     const double tau = t - k.start;
     if (tau <= k.duration) {
@@ -218,14 +212,49 @@ GpuDutModel::totalPower(double t) const
                  * std::exp(-dt / spec_.decayTau);
 }
 
+namespace {
+
+/** First kernel starting after t. */
+auto
+kernelAfter(const std::vector<KernelSchedule> &program, double t)
+{
+    return std::upper_bound(
+        program.begin(), program.end(), t,
+        [](double v, const KernelSchedule &k) { return v < k.start; });
+}
+
+} // namespace
+
 double
-GpuDutModel::current(unsigned rail, double t, double volts)
+GpuDutModel::totalPower(double t) const
+{
+    const double scale =
+        powerScale_.load(std::memory_order_relaxed);
+    const auto program = program_.load();
+    return powerIn(*program, kernelAfter(*program, t), t, scale);
+}
+
+void
+GpuDutModel::demandBlock(unsigned rail, const double *times,
+                         std::size_t n, double *watts, double *amps)
 {
     if (rail >= rails_.size())
         throw UsageError("GpuDutModel: rail out of range");
-    if (volts <= 0.0)
-        return 0.0;
-    return splitRailPower(rails_, rail, totalPower(t)) / volts;
+    if (n == 0)
+        return;
+    const double scale =
+        powerScale_.load(std::memory_order_relaxed);
+    const auto program = program_.load();
+    // Times are non-decreasing: search once, then walk forward.
+    auto next = kernelAfter(*program, times[0]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = times[i];
+        while (next != program->end() && !(t < next->start))
+            ++next;
+        watts[i] = splitRailPower(rails_, rail,
+                                  powerIn(*program, next, t, scale));
+        amps[i] = 0.0;
+    }
 }
 
 double
@@ -254,14 +283,16 @@ SocDutModel::truePower(double t)
     return modulePower(t) + carrierBoardWatts_;
 }
 
-double
-SocDutModel::current(unsigned rail, double t, double volts)
+void
+SocDutModel::demandBlock(unsigned rail, const double *times,
+                         std::size_t n, double *watts, double *amps)
 {
     if (rail != 0)
         throw UsageError("SocDutModel: rail out of range");
-    if (volts <= 0.0)
-        return 0.0;
-    return truePower(t) / volts;
+    // The module's single rail carries its whole power.
+    module_.demandBlock(0, times, n, watts, amps);
+    for (std::size_t i = 0; i < n; ++i)
+        watts[i] += carrierBoardWatts_;
 }
 
 } // namespace ps3::dut

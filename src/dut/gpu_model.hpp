@@ -20,9 +20,12 @@
  *    auto-tuning (Kernel Tuner pins the clock per configuration).
  *
  * The model evaluates an immutable *program* of scheduled kernels as
- * an analytic function of time, stored behind an atomic shared_ptr:
- * the firmware thread reads power lock-free while a control thread
- * (the auto-tuner) swaps in new programs.
+ * an analytic function of time, held as a shared snapshot: the
+ * firmware thread reads power from a snapshot while a control thread
+ * (the auto-tuner) swaps in new programs. The firmware reads one
+ * program snapshot and one power scale per channel scan block
+ * (demandBlock()), so a program or scale swap takes effect at the
+ * next scan block, at most ~42 us of device time later.
  */
 
 #ifndef PS3_DUT_GPU_MODEL_HPP
@@ -33,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/shared_snapshot.hpp"
 #include "dut/loads.hpp"
 
 namespace ps3::dut {
@@ -112,8 +116,10 @@ struct KernelSchedule
 /**
  * GPU as a measurable multi-rail DUT.
  *
- * Thread safe: setProgram()/launchKernel() may race with current()
- * reads (lock-free snapshot semantics).
+ * Thread safe: setProgram()/launchKernel()/setPowerScale() may race
+ * with reads (snapshot semantics). Every element of one
+ * demandBlock() sees the same program and scale; a swap shows from
+ * the next block on.
  */
 class GpuDutModel : public Dut
 {
@@ -128,7 +134,9 @@ class GpuDutModel : public Dut
                              TraceDut::pcieThreeRail());
 
     unsigned railCount() const override;
-    double current(unsigned rail, double t, double volts) override;
+    /** One program snapshot and one kernel search per block. */
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /**
@@ -177,10 +185,17 @@ class GpuDutModel : public Dut
 
     GpuSpec spec_;
     std::vector<TraceDut::RailSplit> rails_;
-    std::atomic<std::shared_ptr<const Program>> program_;
+    SharedSnapshot<Program> program_;
     std::atomic<double> powerScale_{1.0};
 
     double envelopePower(double tau, const KernelSchedule &k) const;
+
+    /**
+     * Board power at t, given `next`, the first kernel of `program`
+     * starting after t (upper_bound on start).
+     */
+    double powerIn(const Program &program, Program::const_iterator next,
+                   double t, double scale) const;
 };
 
 /**
@@ -201,7 +216,9 @@ class SocDutModel : public Dut
                 double usb_c_volts = 20.0);
 
     unsigned railCount() const override { return 1; }
-    double current(unsigned rail, double t, double volts) override;
+    /** The module's block plus the carrier board. */
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /** Module-only power, i.e. what the built-in sensor reports. */

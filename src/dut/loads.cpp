@@ -13,12 +13,18 @@ ConstantCurrentLoad::ConstantCurrentLoad(double amps,
 {
 }
 
-double
-ConstantCurrentLoad::current(unsigned rail, double, double)
+void
+ConstantCurrentLoad::demandBlock(unsigned rail, const double *,
+                                 std::size_t n, double *watts,
+                                 double *amps)
 {
     if (rail != 0)
         throw UsageError("ConstantCurrentLoad: rail out of range");
-    return amps_.load(std::memory_order_relaxed);
+    const double a = amps_.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) {
+        watts[i] = 0.0;
+        amps[i] = a;
+    }
 }
 
 double
@@ -36,9 +42,8 @@ ConstantCurrentLoad::setAmps(double amps)
 ElectronicLoad::ElectronicLoad(double setpoint_amps,
                                double nominal_volts,
                                double slew_amps_per_sec)
-    : setpoint_(setpoint_amps),
-      nominalVolts_(nominal_volts),
-      slew_(slew_amps_per_sec)
+    : settings_{setpoint_amps, slew_amps_per_sec},
+      nominalVolts_(nominal_volts)
 {
     if (slew_amps_per_sec <= 0.0)
         throw UsageError("ElectronicLoad: slew rate must be positive");
@@ -53,41 +58,47 @@ ElectronicLoad::modulate(LoadWaveform waveform, double frequency_hz,
         throw UsageError("ElectronicLoad: invalid modulation");
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    waveform_ = waveform;
-    frequency_ = frequency_hz;
-    depth_ = depth;
+    settings_.waveform = waveform;
+    settings_.frequency = frequency_hz;
+    settings_.depth = depth;
 }
 
 void
 ElectronicLoad::setAmps(double amps)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    setpoint_ = amps;
+    settings_.setpoint = amps;
 }
 
 void
 ElectronicLoad::setMinimumCurrent(double amps)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    minCurrent_ = amps;
+    settings_.minCurrent = amps;
+}
+
+ElectronicLoad::Settings
+ElectronicLoad::settings() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return settings_;
 }
 
 double
-ElectronicLoad::targetCurrent(double t) const
+ElectronicLoad::Settings::target(double t) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const double hi = setpoint_;
-    const double lo = std::max(setpoint_ * (1.0 - depth_), minCurrent_);
-    switch (waveform_) {
+    const double hi = setpoint;
+    const double lo = std::max(setpoint * (1.0 - depth), minCurrent);
+    switch (waveform) {
       case LoadWaveform::Constant:
         return hi;
       case LoadWaveform::Square: {
-        const double period = 1.0 / frequency_;
+        const double period = 1.0 / frequency;
         const double phase = t - std::floor(t / period) * period;
         return phase < period / 2.0 ? hi : lo;
       }
       case LoadWaveform::Sine: {
-        const double s = std::sin(2.0 * M_PI * frequency_ * t);
+        const double s = std::sin(2.0 * M_PI * frequency * t);
         return lo + (hi - lo) * (0.5 + 0.5 * s);
       }
     }
@@ -95,42 +106,47 @@ ElectronicLoad::targetCurrent(double t) const
 }
 
 double
-ElectronicLoad::slewedCurrent(double t) const
+ElectronicLoad::Settings::current(double t) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (waveform_ != LoadWaveform::Square)
-        return 0.0; // caller falls back to targetCurrent()
+    if (waveform != LoadWaveform::Square)
+        return target(t);
 
-    const double hi = setpoint_;
-    const double lo = std::max(setpoint_ * (1.0 - depth_), minCurrent_);
-    const double period = 1.0 / frequency_;
+    const double hi = setpoint;
+    const double lo = std::max(setpoint * (1.0 - depth), minCurrent);
+    const double period = 1.0 / frequency;
     const double phase = t - std::floor(t / period) * period;
-    const double rise = (hi - lo) / slew_;
+    const double rise = (hi - lo) / slew;
 
     // Trapezoid: ramp up at the start of the high phase, ramp down at
     // the start of the low phase.
     if (phase < period / 2.0) {
         if (phase < rise)
-            return lo + slew_ * phase;
+            return lo + slew * phase;
         return hi;
     }
     const double into_low = phase - period / 2.0;
     if (into_low < rise)
-        return hi - slew_ * into_low;
+        return hi - slew * into_low;
     return lo;
 }
 
 double
-ElectronicLoad::current(unsigned rail, double t, double)
+ElectronicLoad::targetCurrent(double t) const
+{
+    return settings().target(t);
+}
+
+void
+ElectronicLoad::demandBlock(unsigned rail, const double *times,
+                            std::size_t n, double *watts, double *amps)
 {
     if (rail != 0)
         throw UsageError("ElectronicLoad: rail out of range");
-    bool square;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        square = waveform_ == LoadWaveform::Square;
+    const Settings now = settings();
+    for (std::size_t i = 0; i < n; ++i) {
+        watts[i] = 0.0;
+        amps[i] = now.current(times[i]);
     }
-    return square ? slewedCurrent(t) : targetCurrent(t);
 }
 
 double
@@ -159,22 +175,38 @@ TraceDut::railCount() const
     return static_cast<unsigned>(rails_.size());
 }
 
+namespace {
+
+/** First trace point at or after t. */
+auto
+pointFrom(const std::vector<TracePoint> &trace, double t)
+{
+    return std::lower_bound(
+        trace.begin(), trace.end(), t,
+        [](const TracePoint &p, double v) { return p.time < v; });
+}
+
+} // namespace
+
 double
-TraceDut::interpolate(double t) const
+TraceDut::interpolateAt(Trace::const_iterator it, double t) const
 {
     if (t <= trace_.front().time)
         return trace_.front().power;
     if (t >= trace_.back().time)
         return trace_.back().power;
-    const auto it = std::lower_bound(
-        trace_.begin(), trace_.end(), t,
-        [](const TracePoint &p, double v) { return p.time < v; });
     const auto &hi = *it;
     const auto &lo = *(it - 1);
     if (hi.time == lo.time)
         return hi.power;
     const double frac = (t - lo.time) / (hi.time - lo.time);
     return lo.power + frac * (hi.power - lo.power);
+}
+
+double
+TraceDut::interpolate(double t) const
+{
+    return interpolateAt(pointFrom(trace_, t), t);
 }
 
 double
@@ -196,14 +228,23 @@ splitRailPower(const std::vector<TraceDut::RailSplit> &rails,
     return 0.0;
 }
 
-double
-TraceDut::current(unsigned rail, double t, double volts)
+void
+TraceDut::demandBlock(unsigned rail, const double *times, std::size_t n,
+                      double *watts, double *amps)
 {
     if (rail >= rails_.size())
         throw UsageError("TraceDut: rail out of range");
-    if (volts <= 0.0)
-        return 0.0;
-    return splitRailPower(rails_, rail, interpolate(t)) / volts;
+    if (n == 0)
+        return;
+    // Times are non-decreasing: search once, then walk forward.
+    auto it = pointFrom(trace_, times[0]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = times[i];
+        while (it != trace_.end() && it->time < t)
+            ++it;
+        watts[i] = splitRailPower(rails_, rail, interpolateAt(it, t));
+        amps[i] = 0.0;
+    }
 }
 
 double

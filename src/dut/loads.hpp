@@ -24,7 +24,8 @@ class ConstantCurrentLoad : public Dut
     explicit ConstantCurrentLoad(double amps, double nominal_volts);
 
     unsigned railCount() const override { return 1; }
-    double current(unsigned rail, double t, double volts) override;
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /** Reprogram the setpoint (thread safe). */
@@ -47,7 +48,9 @@ enum class LoadWaveform { Constant, Square, Sine };
  *
  * The waveform is computed analytically from t so that concurrent
  * sampling needs no shared mutable state: a square wave under a slew
- * limit becomes a trapezoid with transition time depth/slew.
+ * limit becomes a trapezoid with transition time depth/slew. A
+ * demandBlock() copies the settings under one lock and evaluates the
+ * whole block from the copy.
  */
 class ElectronicLoad : public Dut
 {
@@ -61,7 +64,8 @@ class ElectronicLoad : public Dut
                    double slew_amps_per_sec = 2.0e6);
 
     unsigned railCount() const override { return 1; }
-    double current(unsigned rail, double t, double volts) override;
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /**
@@ -89,16 +93,27 @@ class ElectronicLoad : public Dut
     double targetCurrent(double t) const;
 
   private:
-    mutable std::mutex mutex_;
-    double setpoint_;
-    double nominalVolts_;
-    double slew_;
-    double minCurrent_ = 0.0;
-    LoadWaveform waveform_ = LoadWaveform::Constant;
-    double frequency_ = 0.0;
-    double depth_ = 0.0;
+    /** The programmable settings, copied out under the lock. */
+    struct Settings
+    {
+        double setpoint;
+        double slew;
+        double minCurrent = 0.0;
+        LoadWaveform waveform = LoadWaveform::Constant;
+        double frequency = 0.0;
+        double depth = 0.0;
 
-    double slewedCurrent(double t) const;
+        /** Un-slewed current at t. */
+        double target(double t) const;
+        /** Current at t: trapezoidal edges on a square wave. */
+        double current(double t) const;
+    };
+
+    mutable std::mutex mutex_;
+    Settings settings_;
+    double nominalVolts_;
+
+    Settings settings() const;
 };
 
 /** One vertex of a piecewise-linear power schedule. */
@@ -140,7 +155,9 @@ class TraceDut : public Dut
              std::vector<RailSplit> rails);
 
     unsigned railCount() const override;
-    double current(unsigned rail, double t, double volts) override;
+    /** One trace search per block. */
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /** Canonical single 12 V rail split. */
@@ -153,10 +170,18 @@ class TraceDut : public Dut
     static std::vector<RailSplit> m2AdapterRails();
 
   private:
-    std::vector<TracePoint> trace_;
+    using Trace = std::vector<TracePoint>;
+
+    Trace trace_;
     std::vector<RailSplit> rails_;
 
     double interpolate(double t) const;
+
+    /**
+     * Power at t, given `it`, the first point of the trace at or
+     * after t (lower_bound on time).
+     */
+    double interpolateAt(Trace::const_iterator it, double t) const;
 };
 
 /**

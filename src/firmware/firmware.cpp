@@ -185,11 +185,13 @@ Firmware::emitFrameSet()
     // invariant (48 x 25 cycles at 24 MHz).
     //
     // The physics is evaluated channel-major: each channel's
-    // kScansPerFrameSet conversions form one scan block handed to
-    // the batched sensor models. The conversion times reproduce the
-    // hardware's interleaved scan order exactly, and every sensor
-    // owns a private RNG and filter, so reordering the evaluation
-    // leaves each channel's sample stream unchanged.
+    // kScansPerFrameSet conversions form one scan block, resolved by
+    // the rail binding in one call (one DUT evaluation per
+    // conversion) and handed to the batched sensor models. The
+    // conversion times reproduce the hardware's interleaved scan
+    // order exactly, and every sensor owns a private RNG and filter,
+    // so reordering the evaluation leaves each channel's sample
+    // stream unchanged.
     std::array<double, kNumChannels> code_sum{};
 
     // Conversion times are offsets from the frame-set start; the
@@ -197,31 +199,27 @@ Firmware::emitFrameSet()
     // at 24 MHz) so multi-hour runs accumulate zero timing drift.
     const double set_start = clock_.now();
     std::array<double, kScansPerFrameSet> times;
-    std::array<double, kScansPerFrameSet> truth;
+    std::array<double, kScansPerFrameSet> volts;
+    std::array<double, kScansPerFrameSet> amps;
     std::array<double, kScansPerFrameSet> vout;
     for (unsigned ch = 0; ch < kNumChannels; ++ch) {
         auto &module = modules_[pairOfChannel(ch)];
         if (!module)
             continue;
-        const bool is_current = isCurrentChannel(ch);
         for (unsigned scan = 0; scan < kScansPerFrameSet; ++scan) {
-            const double t =
-                set_start
-                + (scan * kNumChannels + ch)
-                      * analog::AdcModel::kConversionTime;
-            times[scan] = t;
-            double volts = 0.0;
-            double amps = 0.0;
-            module->binding->resolve(t, volts, amps);
-            truth[scan] = is_current ? amps : volts;
+            times[scan] = set_start
+                          + (scan * kNumChannels + ch)
+                                * analog::AdcModel::kConversionTime;
         }
-        if (is_current) {
+        module->binding->resolveBlock(times.data(), kScansPerFrameSet,
+                                      volts.data(), amps.data());
+        if (isCurrentChannel(ch)) {
             module->currentSensor->sampleBlock(
-                truth.data(), times.data(), kScansPerFrameSet,
+                amps.data(), times.data(), kScansPerFrameSet,
                 noiseMode_, vout.data());
         } else {
             module->voltageSensor->sampleBlock(
-                truth.data(), times.data(), kScansPerFrameSet,
+                volts.data(), times.data(), kScansPerFrameSet,
                 noiseMode_, vout.data());
         }
         double sum = 0.0;

@@ -333,12 +333,14 @@ PowerSensor::onFrameSet(const FrameSet &set)
     // Dump fast path: a relaxed null check when no dump is active;
     // with one active, a busy-flag/fence handshake (paired with the
     // fence in dump()) pins the writer alive across the push without
-    // the reader ever taking dumpMutex_.
+    // the reader ever taking dumpMutex_. The acquire load pairs with
+    // dump()'s release store, so the writer's construction is visible
+    // before the first push.
     if (activeDump_.load(std::memory_order_relaxed) != nullptr) {
         dumpBusy_.store(true, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         if (DumpWriter *writer =
-                activeDump_.load(std::memory_order_relaxed))
+                activeDump_.load(std::memory_order_acquire))
             pushDumpRecord(sample, *writer);
         dumpBusy_.store(false, std::memory_order_release);
     }
@@ -430,7 +432,7 @@ PowerSensor::dump(const std::string &filename, DumpFormat format,
     // the new pointer or the busy flag covers its in-flight push.
     std::unique_ptr<DumpWriter> old = std::move(dumpWriter_);
     dumpWriter_ = std::move(next);
-    activeDump_.store(dumpWriter_.get(), std::memory_order_relaxed);
+    activeDump_.store(dumpWriter_.get(), std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     while (dumpBusy_.load(std::memory_order_acquire))
         std::this_thread::yield();
@@ -581,8 +583,8 @@ PowerSensor::removeSampleListener(std::uint64_t token)
 std::uint64_t
 PowerSensor::resyncByteCount() const
 {
-    // The parser is only touched by the reader thread; reading the
-    // counter concurrently is benign (monotonic, word-sized).
+    // The reader thread is the counter's only writer; the parser
+    // keeps it atomic so this read may race with feed().
     return parser_.resyncByteCount();
 }
 

@@ -53,7 +53,7 @@ StreamParser::feedByte(std::uint8_t byte)
     if (!pendingFirstByte_) {
         if (!isFirstByte(byte)) {
             // Expected a frame start; hunt for one (resync).
-            ++resyncBytes_;
+            addResyncBytes(1);
             return;
         }
         pendingFirstByte_ = byte;
@@ -63,7 +63,7 @@ StreamParser::feedByte(std::uint8_t byte)
         // Two first-bytes in a row: the second byte of the previous
         // frame was lost. Drop the stale first byte and start over
         // with this one.
-        ++resyncBytes_;
+        addResyncBytes(1);
         pendingFirstByte_ = byte;
         return;
     }
@@ -90,14 +90,14 @@ StreamParser::feed(const std::uint8_t *data, std::size_t size)
     while (i + 1 < size) {
         const std::uint8_t b0 = data[i];
         if (!isFirstByte(b0)) {
-            ++resyncBytes_;
+            addResyncBytes(1);
             ++i;
             continue;
         }
         const std::uint8_t b1 = data[i + 1];
         if (isFirstByte(b1)) {
             // b0's partner was lost; b1 may start a valid frame.
-            ++resyncBytes_;
+            addResyncBytes(1);
             ++i;
             continue;
         }
@@ -119,8 +119,9 @@ StreamParser::publishMetrics()
     // Deltas since the last publish; feed() is called with whole
     // read chunks, so this amortises to well under one atomic add
     // per frame set.
-    metricResyncBytes_.inc(resyncBytes_ - publishedResyncBytes_);
-    publishedResyncBytes_ = resyncBytes_;
+    const std::uint64_t resync_bytes = resyncByteCount();
+    metricResyncBytes_.inc(resync_bytes - publishedResyncBytes_);
+    publishedResyncBytes_ = resync_bytes;
     metricFrameSets_.inc(frameSets_ - publishedFrameSets_);
     publishedFrameSets_ = frameSets_;
     metricEmptySets_.inc(emptySets_ - publishedEmptySets_);
@@ -150,7 +151,7 @@ StreamParser::handleFrame(const Frame &frame)
     if (!inSet_) {
         // Sensor data before any timestamp: cannot be time-aligned,
         // count it as resync noise.
-        resyncBytes_ += 2;
+        addResyncBytes(2);
         return;
     }
     if (frame.sensorId >= firmware::kNumChannels) {

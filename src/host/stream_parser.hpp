@@ -19,6 +19,7 @@
 #define PS3_HOST_STREAM_PARSER_HPP
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -68,8 +69,14 @@ class StreamParser
      */
     void setBaseMicros(std::uint64_t micros);
 
-    /** Bytes skipped while hunting for a frame boundary. */
-    std::uint64_t resyncByteCount() const { return resyncBytes_; }
+    /**
+     * Bytes skipped while hunting for a frame boundary. Safe to call
+     * from any thread while another feeds the parser.
+     */
+    std::uint64_t resyncByteCount() const
+    {
+        return resyncBytes_.load(std::memory_order_relaxed);
+    }
 
     /** Completed frame sets delivered so far. */
     std::uint64_t frameSetCount() const { return frameSets_; }
@@ -136,7 +143,11 @@ class StreamParser
     std::uint16_t lastTimestamp10_ = 0;
     std::uint64_t deviceMicros_ = 0;
 
-    std::uint64_t resyncBytes_ = 0;
+    /**
+     * Written only by the feeding thread (relaxed load + store, no
+     * RMW), read by any thread through resyncByteCount().
+     */
+    std::atomic<std::uint64_t> resyncBytes_{0};
     std::uint64_t frameSets_ = 0;
     std::uint64_t emptySets_ = 0;
     std::uint64_t partialSets_ = 0;
@@ -171,6 +182,13 @@ class StreamParser
     void feedByte(std::uint8_t byte);
 
     void handleFrame(const firmware::Frame &frame);
+    /** Count skipped bytes (single writer: load + store). */
+    void addResyncBytes(std::uint64_t n)
+    {
+        resyncBytes_.store(
+            resyncBytes_.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+    }
     void beginSet(std::uint16_t timestamp10);
     void finishSet();
     void publishMetrics();

@@ -55,14 +55,18 @@ SsdDutModel::truePower(double)
            + (fullSpeedPower() - spec_.idleWatts) * scale;
 }
 
-double
-SsdDutModel::current(unsigned rail, double t, double volts)
+void
+SsdDutModel::demandBlock(unsigned rail, const double *times,
+                         std::size_t n, double *watts, double *amps)
 {
     if (rail != 0)
         throw UsageError("SsdDutModel: rail out of range");
-    if (volts <= 0.0)
-        return 0.0;
-    return truePower(t) / volts;
+    // A steady workload: the same power at every instant of a block.
+    const double power = n == 0 ? 0.0 : truePower(times[0]);
+    for (std::size_t i = 0; i < n; ++i) {
+        watts[i] = power;
+        amps[i] = 0.0;
+    }
 }
 
 std::unique_ptr<dut::DvfsGovernor>

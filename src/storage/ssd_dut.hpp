@@ -20,6 +20,7 @@
 #include <atomic>
 #include <memory>
 
+#include "common/shared_snapshot.hpp"
 #include "dut/dut.hpp"
 #include "dut/governor.hpp"
 #include "storage/ssd_simulator.hpp"
@@ -42,8 +43,8 @@ struct SsdWorkloadPoint
 /**
  * Single-rail (M.2 3.3 V) continuous SSD power model.
  *
- * Thread safe: setWorkload()/setPowerScale() may race with
- * current()/truePower() reads.
+ * Thread safe: setWorkload()/setPowerScale() may race with reads;
+ * one demandBlock() reads the workload and scale once.
  */
 class SsdDutModel : public dut::Dut
 {
@@ -52,7 +53,8 @@ class SsdDutModel : public dut::Dut
                          double rail_volts = 3.3);
 
     unsigned railCount() const override { return 1; }
-    double current(unsigned rail, double t, double volts) override;
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override;
     double truePower(double t) override;
 
     /** Replace the steady workload point. */
@@ -78,7 +80,7 @@ class SsdDutModel : public dut::Dut
   private:
     SsdSpec spec_;
     double railVolts_;
-    std::atomic<std::shared_ptr<const SsdWorkloadPoint>> workload_;
+    SharedSnapshot<SsdWorkloadPoint> workload_;
     std::atomic<double> powerScale_{1.0};
 };
 

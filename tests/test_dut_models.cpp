@@ -1,16 +1,22 @@
 /**
  * @file
  * Unit tests for the DUT electrical models: supplies, rail bindings,
- * loads, trace playback and rail splitting.
+ * loads, trace playback, rail splitting, and the block demand entry
+ * (Dut::demandBlock) against per-sample current() for every model.
  */
 
 #include <cmath>
+#include <functional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/errors.hpp"
+#include "dut/cpu_model.hpp"
 #include "dut/dut.hpp"
+#include "dut/gpu_model.hpp"
 #include "dut/loads.hpp"
+#include "storage/ssd_dut.hpp"
 
 namespace ps3::dut {
 namespace {
@@ -196,6 +202,254 @@ TEST(SplitRailPower, M2AdapterRoutesBulkTo3V3)
     EXPECT_LE(p12, 0.4 + 1e-9);
     EXPECT_NEAR(p12 + p33, total, 1e-9);
     EXPECT_GT(p33, 5.0);
+}
+
+// ----- Block demand vs per-sample current ---------------------------
+
+/** Spacing of one channel's conversions in a scan block (8 x 25
+ *  cycles at 24 MHz). */
+constexpr double kScanSpacing = 8 * 25.0 / 24e6;
+
+/** A firmware-like scan block of n conversions from t0. */
+std::vector<double>
+scanBlock(double t0, std::size_t n = 6, double spacing = kScanSpacing)
+{
+    std::vector<double> times(n);
+    for (std::size_t i = 0; i < n; ++i)
+        times[i] = t0 + static_cast<double>(i) * spacing;
+    return times;
+}
+
+/**
+ * Blocks straddling each edge (a block ending just after it, one
+ * starting exactly on it, one holding it twice), plus one long block
+ * spanning every edge.
+ */
+std::vector<std::vector<double>>
+blocksAround(const std::vector<double> &edges, double span)
+{
+    std::vector<std::vector<double>> blocks;
+    for (double e : edges) {
+        blocks.push_back(scanBlock(e - 20e-6));
+        blocks.push_back(scanBlock(e));
+        blocks.push_back({e - kScanSpacing, e, e, e + 1e-9, e + 1e-3});
+    }
+    blocks.push_back(scanBlock(0.0, 400, span / 400.0));
+    return blocks;
+}
+
+/**
+ * Every element of a demandBlock() resolves to exactly the current
+ * that current() reports for that instant, at positive, zero and
+ * negative rail voltages; `reference`, when given, is the rail's
+ * power-law draw at t, which current() must divide by the voltage.
+ */
+void
+expectBlockMatchesSamples(Dut &dut, unsigned rail,
+                          const std::vector<double> &times,
+                          const std::function<double(double)> &reference)
+{
+    std::vector<double> watts(times.size(), -1.0);
+    std::vector<double> amps(times.size(), -1.0);
+    dut.demandBlock(rail, times.data(), times.size(), watts.data(),
+                    amps.data());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        const double t = times[i];
+        for (double volts : {12.0, 3.3, 0.0, -1.0}) {
+            const double per_sample = dut.current(rail, t, volts);
+            EXPECT_EQ(railCurrent(watts[i], amps[i], volts), per_sample)
+                << "rail " << rail << " t=" << t << " V=" << volts;
+            if (reference) {
+                EXPECT_EQ(per_sample,
+                          volts > 0.0 ? reference(t) / volts : 0.0)
+                    << "rail " << rail << " t=" << t << " V=" << volts;
+            }
+        }
+    }
+}
+
+/** Every rail of a DUT over every block; out-of-range rails throw. */
+void
+expectAllBlocksMatch(Dut &dut, const std::vector<std::vector<double>> &blocks,
+                     const std::function<double(unsigned, double)> &reference)
+{
+    for (unsigned rail = 0; rail < dut.railCount(); ++rail) {
+        for (const auto &times : blocks) {
+            std::function<double(double)> rail_reference;
+            if (reference)
+                rail_reference = [&](double t) { return reference(rail, t); };
+            expectBlockMatchesSamples(dut, rail, times, rail_reference);
+        }
+    }
+    double t = 0.0, w = 0.0, a = 0.0;
+    EXPECT_THROW(dut.demandBlock(dut.railCount(), &t, 1, &w, &a),
+                 UsageError);
+    EXPECT_THROW(dut.demandBlock(dut.railCount(), &t, 0, &w, &a),
+                 UsageError);
+    EXPECT_THROW(dut.current(dut.railCount(), 0.0, 12.0), UsageError);
+}
+
+TEST(DemandBlock, GpuModelMatchesPerSampleAcrossKernelEdges)
+{
+    const std::vector<KernelSchedule> program = {
+        {0.02, 0.25, 110.0, 5}, {0.40, 0.12, 0.0, 3}, {0.52, 0.2, 95.0, 0}};
+    std::vector<double> edges;
+    for (const auto &k : program) {
+        edges.push_back(k.start);
+        edges.push_back(k.end());
+    }
+    edges.push_back(0.02 + 0.05); // a phase dip
+    for (const GpuSpec &spec :
+         {GpuSpec::rtx4000Ada(), GpuSpec::w7700(),
+          GpuSpec::rtx4000Ada().tuningVariant()}) {
+        SCOPED_TRACE(spec.name);
+        GpuDutModel gpu(spec);
+        gpu.setProgram(program);
+        gpu.setPowerScale(0.8);
+        const auto rails = TraceDut::pcieThreeRail();
+        expectAllBlocksMatch(
+            gpu, blocksAround(edges, 1.0), [&](unsigned rail, double t) {
+                return splitRailPower(rails, rail, gpu.totalPower(t));
+            });
+    }
+}
+
+TEST(DemandBlock, GpuModelWithoutProgramIsIdle)
+{
+    GpuDutModel gpu(GpuSpec::rtx4000Ada());
+    const auto rails = TraceDut::pcieThreeRail();
+    const double idle = GpuSpec::rtx4000Ada().idlePower;
+    expectAllBlocksMatch(gpu, blocksAround({0.0, 1.0}, 2.0),
+                         [&](unsigned rail, double) {
+                             return splitRailPower(rails, rail, idle);
+                         });
+}
+
+TEST(DemandBlock, SocModelMatchesPerSample)
+{
+    SocDutModel soc(GpuSpec::jetsonAgxOrinModule(), 4.8, 20.0);
+    soc.module().setProgram({{0.1, 0.3, 0.0, 4}, {0.5, 0.2, 40.0, 0}});
+    expectAllBlocksMatch(soc, blocksAround({0.1, 0.4, 0.5, 0.7}, 1.0),
+                         [&](unsigned, double t) {
+                             return soc.truePower(t);
+                         });
+}
+
+TEST(DemandBlock, CpuModelMatchesPerSampleAcrossPhaseEdges)
+{
+    CpuDutModel cpu(CpuSpec::server16Core());
+    cpu.setProgram({{0.01, 0.1, 8, 0.5}, {0.11, 0.05, 16, 1.0},
+                    {0.3, 0.2, 4, 0.25}});
+    cpu.setPowerScale(0.6);
+    expectAllBlocksMatch(cpu,
+                         blocksAround({0.01, 0.11, 0.16, 0.3, 0.5}, 0.8),
+                         [&](unsigned, double t) {
+                             return cpu.packagePower(t);
+                         });
+}
+
+TEST(DemandBlock, TraceDutMatchesPerSampleAcrossVertices)
+{
+    const std::vector<TracePoint> trace = {
+        {0.05, 2.0}, {0.2, 6.5}, {0.2, 3.0}, {0.7, 8.0}, {1.0, 1.0}};
+    std::vector<double> edges;
+    for (const auto &p : trace)
+        edges.push_back(p.time);
+    for (const auto &rails :
+         {TraceDut::m2AdapterRails(), TraceDut::pcieThreeRail()}) {
+        TraceDut dut(trace, rails);
+        expectAllBlocksMatch(dut, blocksAround(edges, 1.2),
+                             [&](unsigned rail, double t) {
+                                 return splitRailPower(rails, rail,
+                                                       dut.truePower(t));
+                             });
+    }
+}
+
+TEST(DemandBlock, SsdModelMatchesPerSample)
+{
+    storage::SsdDutModel ssd;
+    ssd.setPowerScale(0.7);
+    expectAllBlocksMatch(ssd, blocksAround({0.0, 0.5}, 1.0),
+                         [&](unsigned, double t) {
+                             return ssd.truePower(t);
+                         });
+}
+
+TEST(DemandBlock, CurrentLoadsMatchPerSample)
+{
+    // Constant-current loads: all amps, no power-law part, and the
+    // current does not depend on the rail voltage.
+    ElectronicLoad square(8.0, 12.0, 1e5); // 40-us edges
+    square.modulate(LoadWaveform::Square, 100.0, 0.5);
+    ElectronicLoad sine(8.0, 12.0);
+    sine.modulate(LoadWaveform::Sine, 250.0, 0.3);
+    sine.setMinimumCurrent(6.0);
+    ElectronicLoad constant(3.0, 12.0);
+    ConstantCurrentLoad fixed(2.5, 12.0);
+    const auto blocks =
+        blocksAround({0.0, 0.005, 0.01, 0.015, 0.02}, 0.03);
+    for (Dut *dut : std::initializer_list<Dut *>{&square, &sine,
+                                                 &constant, &fixed}) {
+        expectAllBlocksMatch(*dut, blocks, nullptr);
+        const auto times = scanBlock(0.005 - 10e-6);
+        std::vector<double> watts(times.size()), amps(times.size());
+        dut->demandBlock(0, times.data(), times.size(), watts.data(),
+                         amps.data());
+        for (std::size_t i = 0; i < times.size(); ++i) {
+            EXPECT_EQ(watts[i], 0.0);
+            EXPECT_EQ(dut->current(0, times[i], 0.0), amps[i]);
+        }
+    }
+    // The block path sees the slewed edge, not only the two levels.
+    const auto edge = scanBlock(0.005, 6, 5e-6);
+    std::vector<double> watts(edge.size()), amps(edge.size());
+    square.demandBlock(0, edge.data(), edge.size(), watts.data(),
+                       amps.data());
+    EXPECT_EQ(amps.front(), 8.0);
+    EXPECT_GT(amps.back(), 4.0);
+    EXPECT_LT(amps.back(), 8.0);
+}
+
+TEST(RailBinding, BlockMatchesPerSampleFixedPoint)
+{
+    // resolveBlock() settles the same two-step fixed point per
+    // instant that the per-sample current() API gives.
+    auto gpu = std::make_shared<GpuDutModel>(GpuSpec::rtx4000Ada());
+    gpu->setProgram({{0.001, 0.002, 120.0, 2}});
+    auto load = std::make_shared<ElectronicLoad>(8.0, 12.0, 1e5);
+    load->modulate(LoadWaveform::Square, 1000.0, 0.5);
+    auto supply = std::make_shared<SupplyModel>(12.0, 0.05);
+    struct Case
+    {
+        std::shared_ptr<Dut> dut;
+        unsigned rail;
+    };
+    for (const Case &c :
+         {Case{gpu, 0}, Case{gpu, 2}, Case{load, 0}}) {
+        RailBinding binding(c.dut, c.rail, supply);
+        for (double t0 : {0.0, 0.001 - 20e-6, 0.0005 - 20e-6, 0.003}) {
+            const auto times = scanBlock(t0);
+            std::vector<double> volts(times.size()), amps(times.size());
+            binding.resolveBlock(times.data(), times.size(), volts.data(),
+                                 amps.data());
+            for (std::size_t i = 0; i < times.size(); ++i) {
+                const double t = times[i];
+                double v = supply->voltage(t, 0.0);
+                double a = 0.0;
+                for (int k = 0; k < 2; ++k) {
+                    a = c.dut->current(c.rail, t, v);
+                    v = supply->voltage(t, a);
+                }
+                EXPECT_EQ(volts[i], v) << "t=" << t;
+                EXPECT_EQ(amps[i], a) << "t=" << t;
+                double one_v = 0.0, one_a = 0.0;
+                binding.resolve(t, one_v, one_a);
+                EXPECT_EQ(one_v, v);
+                EXPECT_EQ(one_a, a);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -11,8 +11,10 @@
 
 #include "analog/sensor_module_spec.hpp"
 #include "common/errors.hpp"
+#include "dut/gpu_model.hpp"
 #include "dut/loads.hpp"
 #include "firmware/firmware.hpp"
+#include "host/sim_setup.hpp"
 #include "host/stream_parser.hpp"
 
 namespace ps3::firmware {
@@ -336,6 +338,85 @@ TEST(FirmwareTest, ManufacturingSpreadIsDeterministic)
     EXPECT_LE(std::abs(a.currentOffsetAmps), 0.15);
     EXPECT_LE(std::abs(a.currentGainError), 0.003);
     EXPECT_LE(std::abs(a.voltageGainError), 0.01);
+}
+
+
+// ----- Golden streams -----------------------------------------------
+//
+// The FNV-1a hash of the first kGoldenBytes the firmware emits on
+// four seeded rigs. Any change to the sensor, ADC or DUT physics
+// that alters even one bit of the stream moves a hash, so these pin
+// refactors and optimisations of the synthesis path to the exact
+// output of the code they replace. The values depend on the libm
+// exp/cos/sin results of the platform (x86-64 glibc here).
+
+constexpr std::size_t kGoldenBytes = 256 * 1024;
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (std::uint8_t b : bytes) {
+        hash ^= b;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+std::uint64_t
+goldenHash(host::SimulatedRig &rig)
+{
+    sendByte(*rig.firmware, 'S');
+    const auto bytes = drain(*rig.firmware, kGoldenBytes);
+    EXPECT_EQ(bytes.size(), kGoldenBytes);
+    return fnv1a(bytes);
+}
+
+host::rigs::RigOptions
+goldenOptions(std::uint64_t seed)
+{
+    host::rigs::RigOptions options;
+    options.seed = seed;
+    return options;
+}
+
+TEST(FirmwareGolden, GpuRigKernelProgram)
+{
+    // 0.94 s of device time: idle until the first kernel, phase dips
+    // (5 and 3 phases), decay tails between kernels and after the last.
+    auto rig = host::rigs::gpuRig(dut::GpuSpec::rtx4000Ada(),
+                                  goldenOptions(11));
+    rig.gpu->setProgram({{0.02, 0.25, 110.0, 5},
+                         {0.40, 0.12, 0.0, 3},
+                         {0.60, 0.20, 95.0, 0}});
+    EXPECT_EQ(goldenHash(rig), 0x016a7ae86408e453ull);
+}
+
+TEST(FirmwareGolden, SocRig)
+{
+    auto rig = host::rigs::socRig(dut::GpuSpec::jetsonAgxOrinModule(),
+                                  4.8, goldenOptions(12));
+    rig.soc->module().setProgram({{0.10, 0.80, 0.0, 4},
+                                  {1.20, 0.50, 40.0, 0}});
+    EXPECT_EQ(goldenHash(rig), 0x2fe31a6a5f965203ull);
+}
+
+TEST(FirmwareGolden, LabBenchSquareWave)
+{
+    auto rig = host::rigs::labBench(analog::modules::slot12V10A(), 12.0,
+                                    8.0, goldenOptions(13));
+    rig.load->modulate(dut::LoadWaveform::Square, 100.0, 0.5);
+    EXPECT_EQ(goldenHash(rig), 0x6efd9f6fd17c9becull);
+}
+
+TEST(FirmwareGolden, TraceRig)
+{
+    // Starts after t = 0 (clamped head), holds a zero-width step at
+    // 0.2 s and ends before the stream does (clamped tail).
+    auto rig = host::rigs::traceRig(
+        {{0.05, 2.0}, {0.2, 6.5}, {0.2, 3.0}, {0.7, 8.0}, {1.0, 1.0}},
+        dut::TraceDut::m2AdapterRails(), goldenOptions(14));
+    EXPECT_EQ(goldenHash(rig), 0xd551360d6cb5ade9ull);
 }
 
 } // namespace

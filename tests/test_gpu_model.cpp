@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the GPU / SoC phase power models.
+ * Unit tests for the GPU / SoC phase power models, including program
+ * and scale swaps racing a producing firmware.
  */
 
+#include <atomic>
 #include <cmath>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "analog/sensor_module_spec.hpp"
 #include "common/errors.hpp"
 #include "dut/gpu_model.hpp"
+#include "firmware/firmware.hpp"
 
 namespace ps3::dut {
 namespace {
@@ -206,6 +210,90 @@ TEST(GpuDutModel, ConcurrentReadsWhileRescheduling)
     }
     stop.store(true);
     reader.join();
+}
+
+/**
+ * Forwards to a GPU model and counts blocks whose elements disagree.
+ * The racing programs hold one locked-clock kernel covering all
+ * time, so every program/scale pair draws a flat power: a block that
+ * mixed two snapshots would show two levels.
+ */
+class SnapshotCheckingDut : public Dut
+{
+  public:
+    explicit SnapshotCheckingDut(std::shared_ptr<GpuDutModel> gpu)
+        : gpu_(std::move(gpu))
+    {
+    }
+
+    unsigned railCount() const override { return gpu_->railCount(); }
+
+    void demandBlock(unsigned rail, const double *times, std::size_t n,
+                     double *watts, double *amps) override
+    {
+        gpu_->demandBlock(rail, times, n, watts, amps);
+        for (std::size_t i = 1; i < n; ++i) {
+            if (watts[i] != watts[0])
+                mixed.fetch_add(1, std::memory_order_relaxed);
+        }
+        blocks.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    double truePower(double t) override { return gpu_->truePower(t); }
+
+    std::atomic<std::uint64_t> blocks{0};
+    std::atomic<std::uint64_t> mixed{0};
+
+  private:
+    std::shared_ptr<GpuDutModel> gpu_;
+};
+
+TEST(GpuSnapshotRace, SwapsRacingAProducingFirmwareLandBetweenBlocks)
+{
+    auto gpu = std::make_shared<GpuDutModel>(
+        GpuSpec::rtx4000Ada().tuningVariant());
+    gpu->setProgram({{0.0, 1e6, 100.0, 0}});
+    auto checker = std::make_shared<SnapshotCheckingDut>(gpu);
+
+    firmware::Firmware fw;
+    for (unsigned pair = 0; pair < 3; ++pair) {
+        fw.attachModule(pair, firmware::makeModule(
+                                  analog::modules::slot12V10A(), checker,
+                                  pair, std::make_shared<SupplyModel>(12.0),
+                                  pair + 1));
+    }
+    const std::uint8_t start = 'S';
+    fw.hostWrite(&start, 1);
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> stopped{false};
+    std::thread producer([&] {
+        std::uint8_t buffer[4096];
+        while (!stop.load(std::memory_order_relaxed)
+               && fw.produce(buffer, sizeof(buffer)) != 0) {
+        }
+        stopped.store(true);
+    });
+    // Swap program and scale back to back until the firmware has
+    // resolved 3000 more blocks (six channels per frame set).
+    auto blocks = [&] {
+        return checker->blocks.load(std::memory_order_relaxed);
+    };
+    while (blocks() == 0 && !stopped.load())
+        std::this_thread::yield();
+    const std::uint64_t until = blocks() + 3000;
+    std::uint64_t swaps = 0;
+    while (blocks() < until && !stopped.load()) {
+        gpu->setProgram({{0.0, 1e6, 60.0 + (swaps % 7) * 10.0, 0}});
+        gpu->setPowerScale(swaps % 2 ? 0.5 : 1.0);
+        ++swaps;
+    }
+    stop.store(true);
+    producer.join();
+
+    EXPECT_GE(blocks(), until);
+    EXPECT_GT(swaps, 0u);
+    EXPECT_EQ(checker->mixed.load(), 0u);
 }
 
 TEST(SocDutModel, AddsCarrierBoardPower)
