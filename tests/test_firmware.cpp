@@ -419,5 +419,53 @@ TEST(FirmwareGolden, TraceRig)
     EXPECT_EQ(goldenHash(rig), 0xd551360d6cb5ade9ull);
 }
 
+// The same four rigs with the sensor noise switched off: no Gaussian
+// draws enter the stream, so these pin the DUT, filter, ADC and
+// framing bit for bit apart from the per-conversion noise. The
+// generator still reaches them through the uniform draws made once
+// per rig (manufacturing spread, thermal drift phase).
+
+std::uint64_t
+noiselessGoldenHash(host::SimulatedRig &rig)
+{
+    rig.firmware->setNoiseMode(analog::NoiseMode::Noiseless);
+    return goldenHash(rig);
+}
+
+TEST(FirmwareGolden, GpuRigKernelProgramNoiseless)
+{
+    auto rig = host::rigs::gpuRig(dut::GpuSpec::rtx4000Ada(),
+                                  goldenOptions(11));
+    rig.gpu->setProgram({{0.02, 0.25, 110.0, 5},
+                         {0.40, 0.12, 0.0, 3},
+                         {0.60, 0.20, 95.0, 0}});
+    EXPECT_EQ(noiselessGoldenHash(rig), 0xb50ca2d6685c2079ull);
+}
+
+TEST(FirmwareGolden, SocRigNoiseless)
+{
+    auto rig = host::rigs::socRig(dut::GpuSpec::jetsonAgxOrinModule(),
+                                  4.8, goldenOptions(12));
+    rig.soc->module().setProgram({{0.10, 0.80, 0.0, 4},
+                                  {1.20, 0.50, 40.0, 0}});
+    EXPECT_EQ(noiselessGoldenHash(rig), 0x8e1660a797dd134eull);
+}
+
+TEST(FirmwareGolden, LabBenchSquareWaveNoiseless)
+{
+    auto rig = host::rigs::labBench(analog::modules::slot12V10A(), 12.0,
+                                    8.0, goldenOptions(13));
+    rig.load->modulate(dut::LoadWaveform::Square, 100.0, 0.5);
+    EXPECT_EQ(noiselessGoldenHash(rig), 0x5403caab2b0e9a7cull);
+}
+
+TEST(FirmwareGolden, TraceRigNoiseless)
+{
+    auto rig = host::rigs::traceRig(
+        {{0.05, 2.0}, {0.2, 6.5}, {0.2, 3.0}, {0.7, 8.0}, {1.0, 1.0}},
+        dut::TraceDut::m2AdapterRails(), goldenOptions(14));
+    EXPECT_EQ(noiselessGoldenHash(rig), 0xb30df8b898279bb6ull);
+}
+
 } // namespace
 } // namespace ps3::firmware
