@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "bench_json.hpp"
 #include "energy/accountant.hpp"
 #include "common/ring_buffer.hpp"
+#include "common/rng.hpp"
 #include "common/statistics.hpp"
 #include "firmware/protocol.hpp"
 #include "firmware/wire_stub.hpp"
@@ -222,9 +224,12 @@ BENCHMARK(BM_EndToEndPipeline)
  * with phase dips and decay tails, pulled in the 8192-byte bursts
  * the host reader asks for. ns_per_frame_set covers sensor and DUT
  * physics, ADC conversion and framing (no link, no parser).
+ * BM_FirmwareSynthesisNoiseless runs the same rig without the
+ * per-conversion Gaussian noise (36 draws per frame set); the
+ * difference between the two is the cost of the noise.
  */
 void
-BM_FirmwareSynthesis(benchmark::State &state)
+firmwareSynthesis(benchmark::State &state, analog::NoiseMode mode)
 {
     host::rigs::RigOptions options;
     options.seed = 1;
@@ -239,6 +244,7 @@ BM_FirmwareSynthesis(benchmark::State &state)
         t += duration;
     }
     rig.gpu->setProgram(std::move(program));
+    rig.firmware->setNoiseMode(mode);
 
     const auto start = static_cast<std::uint8_t>(
         firmware::Command::StartStream);
@@ -257,7 +263,41 @@ BM_FirmwareSynthesis(benchmark::State &state)
         sets * 1e-9,
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
+
+void
+BM_FirmwareSynthesis(benchmark::State &state)
+{
+    firmwareSynthesis(state, analog::NoiseMode::Full);
+}
 BENCHMARK(BM_FirmwareSynthesis)->Unit(benchmark::kMicrosecond);
+
+void
+BM_FirmwareSynthesisNoiseless(benchmark::State &state)
+{
+    firmwareSynthesis(state, analog::NoiseMode::Noiseless);
+}
+BENCHMARK(BM_FirmwareSynthesisNoiseless)->Unit(benchmark::kMicrosecond);
+
+/**
+ * Sensor-noise draws as the scan loop makes them: Rng::gaussianBlock
+ * over 6-sample blocks (one channel's share of a scan block), in
+ * ns_per_draw.
+ */
+void
+BM_GaussianBlock(benchmark::State &state)
+{
+    Rng rng(1);
+    std::array<double, 6> noise;
+    for (auto _ : state) {
+        rng.gaussianBlock(noise.data(), noise.size(), 0.0, 0.03);
+        benchmark::DoNotOptimize(noise.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["ns_per_draw"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * noise.size()) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GaussianBlock);
 
 /**
  * Wire-level pipeline: pre-encoded 4-module frame sets pumped through

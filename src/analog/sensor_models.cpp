@@ -99,11 +99,14 @@ CurrentSensorModel::sampleBlock(const double *true_amps,
         throw UsageError("CurrentSensorModel: sample block too large");
 
     // One batched draw per block keeps the RNG stream identical to
-    // the per-call path (gaussianBlock == n gaussian() calls).
-    std::array<double, kMaxSampleBlock> noise{};
+    // the per-call path (gaussianBlock == n gaussian() calls). Only
+    // the n samples in use are written.
+    std::array<double, kMaxSampleBlock> noise;
     if (mode == NoiseMode::Full)
         rng_.gaussianBlock(noise.data(), n, 0.0,
                            spec_.hallNoiseRmsRaw);
+    else
+        std::fill_n(noise.data(), n, 0.0);
 
     // The thermal wander moves on a minutes-scale period; a single
     // evaluation at the block midpoint is indistinguishable from the
@@ -175,10 +178,12 @@ VoltageSensorModel::sampleBlock(const double *true_volts,
     if (n > kMaxSampleBlock)
         throw UsageError("VoltageSensorModel: sample block too large");
 
-    std::array<double, kMaxSampleBlock> noise{};
+    std::array<double, kMaxSampleBlock> noise;
     if (mode == NoiseMode::Full)
         rng_.gaussianBlock(noise.data(), n, 0.0,
                            spec_.ampNoiseRmsInput);
+    else
+        std::fill_n(noise.data(), n, 0.0);
 
     for (std::size_t i = 0; i < n; ++i) {
         const double t = times[i];

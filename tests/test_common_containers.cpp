@@ -5,6 +5,8 @@
  */
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -139,6 +141,156 @@ TEST(Rng, BernoulliExtremes)
         EXPECT_FALSE(rng.bernoulli(0.0));
         EXPECT_TRUE(rng.bernoulli(1.0));
     }
+}
+
+// ----- Gaussian draws: moments, shape and tails ----------------------
+//
+// One shared sample of 2^21 standard-normal draws. Every bound below
+// is five sampling standard deviations of its statistic, so a correct
+// generator fails one of them with odds below 1e-5.
+
+constexpr std::size_t kNormalDraws = std::size_t{1} << 21;
+
+const std::vector<double> &
+normalSample()
+{
+    static const std::vector<double> draws = [] {
+        std::vector<double> v(kNormalDraws);
+        Rng rng(20250601);
+        rng.gaussianBlock(v.data(), v.size());
+        return v;
+    }();
+    return draws;
+}
+
+/** Standard normal CDF. */
+double
+phi(double x)
+{
+    return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+TEST(Rng, GaussianMomentsMatchStandardNormal)
+{
+    const auto &z = normalSample();
+    const double n = static_cast<double>(z.size());
+    double s1 = 0.0;
+    for (double v : z)
+        s1 += v;
+    const double mean = s1 / n;
+    double m2 = 0.0, m3 = 0.0, m4 = 0.0;
+    for (double v : z) {
+        const double d = v - mean;
+        m2 += d * d;
+        m3 += d * d * d;
+        m4 += d * d * d * d;
+    }
+    m2 /= n;
+    m3 /= n;
+    m4 /= n;
+    const double skew = m3 / std::pow(m2, 1.5);
+    const double excess_kurtosis = m4 / (m2 * m2) - 3.0;
+
+    EXPECT_LT(std::abs(mean), 5.0 * std::sqrt(1.0 / n));
+    EXPECT_LT(std::abs(m2 - 1.0), 5.0 * std::sqrt(2.0 / n));
+    EXPECT_LT(std::abs(skew), 5.0 * std::sqrt(6.0 / n));
+    EXPECT_LT(std::abs(excess_kurtosis), 5.0 * std::sqrt(24.0 / n));
+}
+
+TEST(Rng, GaussianChiSquareOverEquiprobableBins)
+{
+    constexpr std::size_t kBins = 100;
+    std::vector<double> counts(kBins, 0.0);
+    for (double v : normalSample()) {
+        const auto bin = static_cast<std::size_t>(kBins * phi(v));
+        counts[std::min(bin, kBins - 1)] += 1.0;
+    }
+    const double expected =
+        static_cast<double>(kNormalDraws) / static_cast<double>(kBins);
+    double chi2 = 0.0;
+    for (double c : counts)
+        chi2 += (c - expected) * (c - expected) / expected;
+    // chi^2 with k - 1 degrees of freedom: mean k - 1, variance
+    // 2 (k - 1).
+    const double dof = kBins - 1.0;
+    EXPECT_LT(chi2, dof + 5.0 * std::sqrt(2.0 * dof));
+    EXPECT_GT(chi2, dof - 5.0 * std::sqrt(2.0 * dof));
+}
+
+TEST(Rng, GaussianTailFractionsMatchNormalTails)
+{
+    // Beyond R every draw comes from the exponential tail method.
+    const auto &z = normalSample();
+    const double n = static_cast<double>(z.size());
+    for (double edge : {detail::ZigguratTables::kR, 4.5}) {
+        double above = 0.0, below = 0.0;
+        for (double v : z) {
+            above += v > edge;
+            below += v < -edge;
+        }
+        const double p = 1.0 - phi(edge);
+        const double sd_one = std::sqrt(n * p * (1.0 - p));
+        const double sd_two = std::sqrt(n * 2.0 * p * (1.0 - 2.0 * p));
+        EXPECT_LT(std::abs(above + below - 2.0 * n * p), 5.0 * sd_two)
+            << "beyond +-" << edge;
+        EXPECT_LT(std::abs(above - n * p), 5.0 * sd_one)
+            << "beyond +" << edge;
+        EXPECT_LT(std::abs(below - n * p), 5.0 * sd_one)
+            << "beyond -" << edge;
+    }
+}
+
+TEST(Rng, GaussianNoLagOneCorrelationAndBalancedSigns)
+{
+    const auto &z = normalSample();
+    const double n = static_cast<double>(z.size());
+    double lag = 0.0, sq = 0.0, positive = 0.0;
+    for (std::size_t i = 0; i < z.size(); ++i) {
+        sq += z[i] * z[i];
+        positive += z[i] > 0.0;
+        if (i > 0)
+            lag += z[i] * z[i - 1];
+    }
+    EXPECT_LT(std::abs(lag / sq), 5.0 / std::sqrt(n));
+    EXPECT_LT(std::abs(positive - 0.5 * n), 5.0 * 0.5 * std::sqrt(n));
+}
+
+TEST(Rng, GaussianBlockIsBitEqualToPerCallDraws)
+{
+    Rng block(42), single(42);
+    std::vector<double> out(64);
+    for (std::size_t n : {1u, 6u, 7u, 64u, 0u, 6u, 33u}) {
+        block.gaussianBlock(out.data(), n, 1.5, 0.25);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double expect = single.gaussian(1.5, 0.25);
+            ASSERT_EQ(std::memcmp(&out[i], &expect, sizeof expect), 0)
+                << "block of " << n << ", draw " << i;
+        }
+    }
+    EXPECT_EQ(block.gaussian(), single.gaussian());
+}
+
+TEST(Rng, GaussianMeanAndSigmaScaleTheStandardDraw)
+{
+    Rng scaled(9), unit(9);
+    for (int i = 0; i < 1000; ++i) {
+        const double z = unit.gaussian();
+        EXPECT_EQ(scaled.gaussian(-3.0, 0.5), -3.0 + 0.5 * z);
+    }
+    // Sample moments follow the parameters.
+    Rng rng(10);
+    std::vector<double> v(1 << 16);
+    rng.gaussianBlock(v.data(), v.size(), 12.0, 3.0);
+    double s1 = 0.0, s2 = 0.0;
+    for (double x : v) {
+        s1 += x;
+        s2 += x * x;
+    }
+    const double n = static_cast<double>(v.size());
+    const double mean = s1 / n;
+    const double sd = std::sqrt(s2 / n - mean * mean);
+    EXPECT_NEAR(mean, 12.0, 5.0 * 3.0 / std::sqrt(n));
+    EXPECT_NEAR(sd, 3.0, 5.0 * 3.0 / std::sqrt(2.0 * n));
 }
 
 TEST(VirtualClock, AdvancesExactly)

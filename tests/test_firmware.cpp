@@ -389,7 +389,7 @@ TEST(FirmwareGolden, GpuRigKernelProgram)
     rig.gpu->setProgram({{0.02, 0.25, 110.0, 5},
                          {0.40, 0.12, 0.0, 3},
                          {0.60, 0.20, 95.0, 0}});
-    EXPECT_EQ(goldenHash(rig), 0x016a7ae86408e453ull);
+    EXPECT_EQ(goldenHash(rig), 0xdaf49007f727f9b2ull);
 }
 
 TEST(FirmwareGolden, SocRig)
@@ -398,7 +398,7 @@ TEST(FirmwareGolden, SocRig)
                                   4.8, goldenOptions(12));
     rig.soc->module().setProgram({{0.10, 0.80, 0.0, 4},
                                   {1.20, 0.50, 40.0, 0}});
-    EXPECT_EQ(goldenHash(rig), 0x2fe31a6a5f965203ull);
+    EXPECT_EQ(goldenHash(rig), 0x50e75c0005a3c537ull);
 }
 
 TEST(FirmwareGolden, LabBenchSquareWave)
@@ -406,7 +406,7 @@ TEST(FirmwareGolden, LabBenchSquareWave)
     auto rig = host::rigs::labBench(analog::modules::slot12V10A(), 12.0,
                                     8.0, goldenOptions(13));
     rig.load->modulate(dut::LoadWaveform::Square, 100.0, 0.5);
-    EXPECT_EQ(goldenHash(rig), 0x6efd9f6fd17c9becull);
+    EXPECT_EQ(goldenHash(rig), 0x124a46398b13d06eull);
 }
 
 TEST(FirmwareGolden, TraceRig)
@@ -416,7 +416,7 @@ TEST(FirmwareGolden, TraceRig)
     auto rig = host::rigs::traceRig(
         {{0.05, 2.0}, {0.2, 6.5}, {0.2, 3.0}, {0.7, 8.0}, {1.0, 1.0}},
         dut::TraceDut::m2AdapterRails(), goldenOptions(14));
-    EXPECT_EQ(goldenHash(rig), 0xd551360d6cb5ade9ull);
+    EXPECT_EQ(goldenHash(rig), 0xad5dc96cd98e431aull);
 }
 
 // The same four rigs with the sensor noise switched off: no Gaussian
@@ -439,7 +439,7 @@ TEST(FirmwareGolden, GpuRigKernelProgramNoiseless)
     rig.gpu->setProgram({{0.02, 0.25, 110.0, 5},
                          {0.40, 0.12, 0.0, 3},
                          {0.60, 0.20, 95.0, 0}});
-    EXPECT_EQ(noiselessGoldenHash(rig), 0xb50ca2d6685c2079ull);
+    EXPECT_EQ(noiselessGoldenHash(rig), 0xbf28a38147ee3a55ull);
 }
 
 TEST(FirmwareGolden, SocRigNoiseless)
@@ -448,7 +448,7 @@ TEST(FirmwareGolden, SocRigNoiseless)
                                   4.8, goldenOptions(12));
     rig.soc->module().setProgram({{0.10, 0.80, 0.0, 4},
                                   {1.20, 0.50, 40.0, 0}});
-    EXPECT_EQ(noiselessGoldenHash(rig), 0x8e1660a797dd134eull);
+    EXPECT_EQ(noiselessGoldenHash(rig), 0xc814f79f1bd2c435ull);
 }
 
 TEST(FirmwareGolden, LabBenchSquareWaveNoiseless)
@@ -456,7 +456,7 @@ TEST(FirmwareGolden, LabBenchSquareWaveNoiseless)
     auto rig = host::rigs::labBench(analog::modules::slot12V10A(), 12.0,
                                     8.0, goldenOptions(13));
     rig.load->modulate(dut::LoadWaveform::Square, 100.0, 0.5);
-    EXPECT_EQ(noiselessGoldenHash(rig), 0x5403caab2b0e9a7cull);
+    EXPECT_EQ(noiselessGoldenHash(rig), 0x1b9c4ce4b379b512ull);
 }
 
 TEST(FirmwareGolden, TraceRigNoiseless)
@@ -464,7 +464,7 @@ TEST(FirmwareGolden, TraceRigNoiseless)
     auto rig = host::rigs::traceRig(
         {{0.05, 2.0}, {0.2, 6.5}, {0.2, 3.0}, {0.7, 8.0}, {1.0, 1.0}},
         dut::TraceDut::m2AdapterRails(), goldenOptions(14));
-    EXPECT_EQ(noiselessGoldenHash(rig), 0xb30df8b898279bb6ull);
+    EXPECT_EQ(noiselessGoldenHash(rig), 0x6d1d1b4e58cba0e8ull);
 }
 
 } // namespace

@@ -253,9 +253,18 @@ TEST(PowerSensorTest, ConnectingToDeadPortThrows)
 TEST(CalibratorTest, RemovesOffsetAndGainErrors)
 {
     // Build an *uncalibrated* rig with significant spread; the
-    // guided procedure must recover accuracy.
+    // guided procedure must recover accuracy. The rig's pair-0 spread
+    // is typical(seed * 101): take the first seed from 21 on whose
+    // current offset is large enough to see.
     rigs::RigOptions options;
     options.seed = 21;
+    while (options.seed < 121
+           && std::abs(firmware::ManufacturingSpread::typical(
+                           options.seed * 101)
+                           .currentOffsetAmps)
+                  < 0.05)
+        ++options.seed;
+    ASSERT_LT(options.seed, 121u) << "no seed with a 50 mA offset";
     options.factoryCalibrated = false;
     auto rig = rigs::labBench(analog::modules::slot12V10A(), 12.0,
                               /*load_amps=*/0.0, options);
