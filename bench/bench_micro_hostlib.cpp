@@ -287,7 +287,7 @@ void
 BM_GaussianBlock(benchmark::State &state)
 {
     Rng rng(1);
-    std::array<double, 6> noise;
+    std::array<double, 6> noise{};
     for (auto _ : state) {
         rng.gaussianBlock(noise.data(), noise.size(), 0.0, 0.03);
         benchmark::DoNotOptimize(noise.data());

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <random>
 
 namespace ps3 {
@@ -81,7 +82,7 @@ class Xoshiro256pp
     }
 
   private:
-    std::array<std::uint64_t, 4> s_;
+    std::array<std::uint64_t, 4> s_{};
 };
 
 /**
@@ -113,7 +114,7 @@ buildZigguratTables()
     // Common layer area: the base strip's rectangle plus its tail.
     const double area =
         r * density(r)
-        + std::sqrt(M_PI / 2.0) * std::erfc(r / std::sqrt(2.0));
+        + std::sqrt(std::numbers::pi / 2.0) * std::erfc(r / std::sqrt(2.0));
 
     ZigguratTables t{};
     t.x[0] = area / density(r);

@@ -4,6 +4,7 @@
  * writer, units and logging.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
