@@ -49,6 +49,7 @@ EnergyAccountant::~EnergyAccountant()
 {
     detach();
     std::lock_guard<std::mutex> lock(mutex_);
+    publishSamples();
     if (!stack_.empty())
         metrics().open.sub(static_cast<std::int64_t>(stack_.size()));
 }
@@ -84,8 +85,15 @@ EnergyAccountant::addSample(double time, double watts)
         foldInterval(time - lastTime_, watts);
     lastTime_ = time;
     haveSample_ = true;
-    ++samplesSeen_;
-    metrics().samples.inc();
+    if (++samplesSeen_ - samplesPublished_ >= kSamplesPublishBatch)
+        publishSamples();
+}
+
+void
+EnergyAccountant::publishSamples()
+{
+    metrics().samples.inc(samplesSeen_ - samplesPublished_);
+    samplesPublished_ = samplesSeen_;
 }
 
 void
@@ -151,6 +159,7 @@ EnergyAccountant::finish()
         closeRegion(index);
         metrics().open.sub(1);
     }
+    publishSamples();
     haveSample_ = false;
 }
 

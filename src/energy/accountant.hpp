@@ -163,6 +163,13 @@ class EnergyAccountant
 
   private:
     static constexpr unsigned kRegionCount = 26;
+    /**
+     * Samples folded between publishes to the shared
+     * ps3_energy_samples_total counter (about 50 ms at 20 kHz): one
+     * atomic add per sample would cost the reader thread as much as
+     * the fold itself.
+     */
+    static constexpr std::uint64_t kSamplesPublishBatch = 1024;
 
     struct RegionSlot
     {
@@ -174,6 +181,8 @@ class EnergyAccountant
 
     void foldInterval(double dt, double watts);
     void closeRegion(unsigned index);
+    /** Add the samples folded since the last publish to the metric. */
+    void publishSamples();
 
     mutable std::mutex mutex_;
     std::array<RegionSlot, kRegionCount> slots_;
@@ -184,6 +193,7 @@ class EnergyAccountant
     double lastTime_ = 0.0;
     bool haveSample_ = false;
     std::uint64_t samplesSeen_ = 0;
+    std::uint64_t samplesPublished_ = 0;
     std::uint64_t strayEnds_ = 0;
 
     host::Sensor *sensor_ = nullptr;
